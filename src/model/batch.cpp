@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 #include <thread>
 
 #include "util/assert.hpp"
@@ -85,17 +84,23 @@ std::string_view to_string(Verdict verdict) {
 }
 
 std::string BatchVerdict::to_ndjson() const {
-  std::ostringstream os;
-  os << "{\"id\":" << id
-     << ",\"name\":" << util::json::Value(name).dump()
-     << ",\"verdict\":\"" << to_string(verdict) << '"'
-     << ",\"binding\":" << util::json::Value(binding).dump()
-     << ",\"definite\":" << (definite ? "true" : "false");
   char util_buf[40];
   std::snprintf(util_buf, sizeof util_buf, "%.6g", utilisation);
-  os << ",\"utilisation\":" << util_buf << ",\"worst_wcrt\":" << worst_wcrt
-     << '}';
-  return os.str();
+  std::string line = "{\"id\":";
+  line += std::to_string(id);
+  line += ",\"name\":";
+  line += util::json::Value(name).dump();
+  line += ",\"verdict\":\"";
+  line += to_string(verdict);
+  line += "\",\"binding\":";
+  line += util::json::Value(binding).dump();
+  line += definite ? ",\"definite\":true" : ",\"definite\":false";
+  line += ",\"utilisation\":";
+  line += util_buf;
+  line += ",\"worst_wcrt\":";
+  line += std::to_string(worst_wcrt);
+  line += '}';
+  return line;
 }
 
 /// Per-candidate working state. Written only by the lane owning the
@@ -235,7 +240,7 @@ std::vector<BatchVerdict> BatchAnalyzer::analyze(
 
   // Phase 2 (serial): intern canonical window-set keys in candidate order.
   // Serialising the *interning* (cheap string work) is what makes hit/miss
-  // counts and table identity independent of the worker count; the O(MTF^2)
+  // counts and table identity independent of the worker count; the O(MTF*W)
   // table constructions stay parallel in phase 3.
   struct Build {
     std::size_t cand;

@@ -10,12 +10,12 @@
 //
 // Two mechanisms carry the throughput (BENCH_schedulability.json):
 //
-//  - Memoisation. The dominant repeated cost is PartitionSupply
-//    construction -- an O(MTF^2) sbf tabulation per (window set,
-//    partition). Candidate streams share window designs heavily (an
-//    integrator explores process placements under few PSTs), so supplies
-//    are interned in a cache keyed by the canonicalised window set, with
-//    hit/miss Stats mirroring util::StringArena::Stats.
+//  - Memoisation. The repeated cost is PartitionSupply construction --
+//    an O(MTF*W) sbf tabulation per (window set, partition), W the
+//    partition's window count. Candidate streams share window designs
+//    heavily (an integrator explores process placements under few PSTs),
+//    so supplies are interned in a cache keyed by the canonicalised
+//    window set, with hit/miss Stats mirroring util::StringArena::Stats.
 //
 //  - Fan-out. Per-candidate analyses are independent, so they run over a
 //    util::WorkerPool (the World's epoch-executor machinery). Determinism

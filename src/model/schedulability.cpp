@@ -14,6 +14,8 @@ PartitionSupply::PartitionSupply(const Schedule& schedule,
   available_.assign(static_cast<std::size_t>(mtf_), 0);
   for (const Window& w : schedule.windows) {
     if (w.partition != partition) continue;
+    AIR_ASSERT_MSG(w.offset >= 0, "window offset must not be negative");
+    AIR_ASSERT_MSG(w.duration >= 0, "window duration must not be negative");
     for (Ticks t = w.offset; t < w.offset + w.duration && t < mtf_; ++t) {
       available_[static_cast<std::size_t>(t)] = 1;
     }
@@ -27,14 +29,21 @@ PartitionSupply::PartitionSupply(const Schedule& schedule,
   }
   per_mtf_ = prefix_[static_cast<std::size_t>(mtf_)];
 
-  // sbf over one MTF: min over all start phases t0 in [0, MTF).
+  // sbf over one MTF. supply(t0, len) never grows as t0 slides forward off
+  // an available tick or back over an unavailable one, so a gap start wins.
+  std::vector<Ticks> gap_starts;
+  for (Ticks t = 0; t < mtf_; ++t) {
+    const Ticks before = t == 0 ? mtf_ - 1 : t - 1;
+    if (available_[static_cast<std::size_t>(t)] == 0 &&
+        available_[static_cast<std::size_t>(before)] == 1) {
+      gap_starts.push_back(t);
+    }
+  }
+  if (gap_starts.empty()) gap_starts.push_back(0);  // always or never free
   sbf_table_.assign(static_cast<std::size_t>(mtf_) + 1, 0);
   for (Ticks len = 1; len <= mtf_; ++len) {
     Ticks least = len;  // supply can never exceed the interval length
-    for (Ticks t0 = 0; t0 < mtf_; ++t0) {
-      least = std::min(least, supply(t0, len));
-      if (least == 0) break;
-    }
+    for (const Ticks g : gap_starts) least = std::min(least, supply(g, len));
     sbf_table_[static_cast<std::size_t>(len)] = least;
   }
 }

@@ -114,8 +114,8 @@ struct AnalysisOptions {
     Phasing phasing = Phasing::kWorstCase);
 
 /// Core analysis over a caller-provided supply function -- the entry point
-/// the batch service uses so one memoised PartitionSupply (the dominant
-/// construction cost, an O(MTF^2) table) can serve every candidate sharing
+/// the batch service uses so one memoised PartitionSupply (an O(MTF*W)
+/// table, W the partition's window count) can serve every candidate sharing
 /// the same canonical window set. `supply` must describe `partition.id`
 /// under `schedule`.
 [[nodiscard]] PartitionAnalysis analyze_partition(

@@ -5,12 +5,21 @@
 // NDJSON candidate codec round-trip, telemetry publication, the
 // differential flight oracle over a generated 500-config stream, and the
 // mutation self-test (a deliberately unsound analysis must be caught).
+//
+// The golden verdict digest pins the stream itself, so a supply table that
+// is wrong the same way memoised and unmemoised still fails here.
+// Regenerate it after an *intentional* verdict change with:
+//   AIR_UPDATE_GOLDEN=1 ./air_tests --gtest_filter='BatchAnalyzer.Golden*'
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "config/candidates.hpp"
+#include "fi/fault_plan.hpp"
 #include "model/batch.hpp"
 #include "system/flight_validate.hpp"
 #include "telemetry/metrics.hpp"
@@ -25,6 +34,20 @@ std::string verdict_stream(const std::vector<model::BatchVerdict>& verdicts) {
     out += '\n';
   }
   return out;
+}
+
+constexpr const char* kGoldenVerdictsPath =
+    AIR_SOURCE_DIR "/tests/golden/batch_verdicts.digest";
+
+std::uint64_t golden_stream_digest(model::Phasing phasing) {
+  model::CandidateSpec spec;
+  spec.count = 500;
+  spec.seed = 42;
+  model::BatchOptions options;
+  options.analysis.phasing = phasing;
+  model::BatchAnalyzer analyzer(options);
+  return fi::digest64(
+      verdict_stream(analyzer.analyze(model::generate_candidates(spec))));
 }
 
 model::CandidateSpec small_spec() {
@@ -58,6 +81,39 @@ TEST(BatchAnalyzer, VerdictStreamIsByteIdenticalForAnyWorkerCount) {
     EXPECT_EQ(analyzer.stats().cache.misses, reference_stats.cache.misses);
     EXPECT_EQ(analyzer.stats().cache.entries, reference_stats.cache.entries);
   }
+}
+
+TEST(BatchAnalyzer, GoldenVerdictStreamIsUnchanged) {
+  const model::BatchOptions defaults;
+  const std::uint64_t mtf_aligned =
+      golden_stream_digest(defaults.analysis.phasing);
+  const std::uint64_t worst_case =
+      golden_stream_digest(model::Phasing::kWorstCase);
+
+  if (std::getenv("AIR_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(kGoldenVerdictsPath, std::ios::binary);
+    out << "default " << std::hex << mtf_aligned << "\n"
+        << "worst_case " << std::hex << worst_case << "\n";
+    GTEST_SKIP() << "golden digests regenerated at " << kGoldenVerdictsPath;
+  }
+
+  std::ifstream in(kGoldenVerdictsPath);
+  ASSERT_TRUE(in) << "missing " << kGoldenVerdictsPath
+                  << " -- regenerate with AIR_UPDATE_GOLDEN=1";
+  std::string key;
+  std::uint64_t value = 0;
+  std::uint64_t golden_default = 0;
+  std::uint64_t golden_worst_case = 0;
+  while (in >> key >> std::hex >> value) {
+    if (key == "default") golden_default = value;
+    if (key == "worst_case") golden_worst_case = value;
+  }
+  EXPECT_EQ(mtf_aligned, golden_default)
+      << "default-options verdict stream diverged from the golden snapshot; "
+         "if the change is intentional, regenerate with AIR_UPDATE_GOLDEN=1";
+  EXPECT_EQ(worst_case, golden_worst_case)
+      << "kWorstCase verdict stream diverged from the golden snapshot; if "
+         "the change is intentional, regenerate with AIR_UPDATE_GOLDEN=1";
 }
 
 TEST(BatchAnalyzer, MemoisationChangesNothingButSpeed) {

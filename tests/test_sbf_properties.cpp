@@ -12,7 +12,14 @@
 //   - the phase-free sbf lower-bounds every phase-aware supply (and the
 //     phase-aware inverse never waits longer than the phase-free one) --
 //     the soundness relation between Phasing::kWorstCase and kMtfAligned.
+//
+// The table itself is checked against a brute-force reference that takes
+// the least supply over *every* start phase, on seeded random window sets
+// and on the edge shapes the gap-start scan must get right.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "model/generator.hpp"
 #include "model/schedulability.hpp"
@@ -115,6 +122,104 @@ TEST_P(SbfProperties, PhaseAwareSupplyDominatesPhaseFreeBound) {
       }
     }
   }
+}
+
+/// sbf straight from the definition: the least supply over all MTF start
+/// phases, counted tick by tick from the partition's window bitmap.
+std::vector<Ticks> brute_force_sbf(const model::Schedule& schedule,
+                                   PartitionId partition) {
+  const auto mtf = static_cast<std::size_t>(schedule.mtf);
+  std::vector<int> available(mtf, 0);
+  for (const model::Window& w : schedule.windows) {
+    if (w.partition != partition) continue;
+    for (Ticks t = w.offset; t < w.offset + w.duration && t < schedule.mtf;
+         ++t) {
+      available[static_cast<std::size_t>(t)] = 1;
+    }
+  }
+  std::vector<Ticks> sbf(2 * mtf + 1, 0);
+  for (std::size_t len = 1; len < sbf.size(); ++len) {
+    Ticks least = static_cast<Ticks>(len);
+    for (std::size_t t0 = 0; t0 < mtf; ++t0) {
+      Ticks got = 0;
+      for (std::size_t t = t0; t < t0 + len; ++t) got += available[t % mtf];
+      least = std::min(least, got);
+    }
+    sbf[len] = least;
+  }
+  return sbf;
+}
+
+void expect_matches_brute_force(const model::Schedule& schedule,
+                                PartitionId partition) {
+  const model::PartitionSupply supply(schedule, partition);
+  const std::vector<Ticks> reference = brute_force_sbf(schedule, partition);
+  for (std::size_t len = 0; len < reference.size(); ++len) {
+    ASSERT_EQ(supply.sbf(static_cast<Ticks>(len)), reference[len])
+        << "mtf " << schedule.mtf << " len " << len;
+  }
+}
+
+model::Schedule shaped(Ticks mtf, std::vector<model::Window> windows) {
+  model::Schedule schedule;
+  schedule.mtf = mtf;
+  schedule.windows = std::move(windows);
+  return schedule;
+}
+
+TEST(SbfTable, MatchesBruteForceOnEdgeShapes) {
+  const PartitionId p0{0};
+  const PartitionId p1{1};
+  struct Case {
+    const char* name;
+    model::Schedule schedule;
+  };
+  const Case cases[] = {
+      {"no window for the partition", shaped(40, {{p1, 0, 20}})},
+      {"windows cover the MTF", shaped(40, {{p0, 0, 40}})},
+      {"one-tick MTF, covered", shaped(1, {{p0, 0, 1}})},
+      {"one-tick MTF, empty", shaped(1, {})},
+      {"single-tick windows",
+       shaped(40, {{p0, 3, 1}, {p0, 17, 1}, {p1, 20, 5}, {p0, 39, 1}})},
+      {"back-to-back windows",
+       shaped(60, {{p0, 10, 5}, {p0, 15, 5}, {p0, 20, 3}, {p1, 30, 10}})},
+      {"run wraps past the MTF end",
+       shaped(50, {{p0, 0, 4}, {p1, 10, 10}, {p0, 45, 5}})},
+      {"longest gap starts at offset 0",
+       shaped(50, {{p0, 30, 5}, {p0, 40, 10}})},
+      {"window truncated at the MTF",
+       shaped(30, {{p1, 0, 10}, {p0, 24, 20}})},
+      {"gap of one tick", shaped(20, {{p0, 0, 9}, {p0, 10, 10}})},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    expect_matches_brute_force(c.schedule, p0);
+  }
+}
+
+TEST(SbfTable, MatchesBruteForceOnRandomWindowSets) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    const Ticks mtf = rng.uniform(1, 64);
+    std::vector<model::Window> windows;
+    const auto count = rng.uniform(0, 8);
+    for (std::int64_t i = 0; i < count; ++i) {
+      // Partitions 0..2 share the frame; offsets and durations may run past
+      // the MTF, which the table must truncate.
+      windows.push_back({PartitionId{static_cast<int>(rng.uniform(0, 2))},
+                         rng.uniform(0, mtf - 1), rng.uniform(0, mtf / 2 + 1)});
+    }
+    expect_matches_brute_force(shaped(mtf, std::move(windows)), PartitionId{0});
+  }
+}
+
+TEST(SbfTableDeathTest, NegativeWindowFieldsAreRejected) {
+  const PartitionId p0{0};
+  EXPECT_DEATH((void)model::PartitionSupply(shaped(40, {{p0, -3, 5}}), p0),
+               "offset");
+  EXPECT_DEATH((void)model::PartitionSupply(shaped(40, {{p0, 3, -5}}), p0),
+               "duration");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SbfProperties,
