@@ -12,11 +12,8 @@
 // Plus micro-benchmarks of the announce path itself.
 #include <benchmark/benchmark.h>
 
-#include <memory>
-
 #include "config/fig8.hpp"
 #include "pal/pal.hpp"
-#include "pos/rt_kernel.hpp"
 #include "system/module.hpp"
 
 namespace {
@@ -53,7 +50,7 @@ void BM_DetectionLatency_Fig8(benchmark::State& state) {
 BENCHMARK(BM_DetectionLatency_Fig8)->Unit(benchmark::kMillisecond);
 
 void BM_Announce_NoDeadlines(benchmark::State& state) {
-  pal::Pal pal(std::make_unique<pos::RtKernel>());
+  pal::Pal pal(pos::Policy::kRt);
   Ticks now = 0;
   for (auto _ : state) {
     pal.announce_ticks(++now, 1);
@@ -64,7 +61,7 @@ BENCHMARK(BM_Announce_NoDeadlines);
 void BM_Announce_FutureDeadlines(benchmark::State& state) {
   // The common healthy case: n registered deadlines, none violated; the
   // check touches only the earliest (O(1) regardless of n).
-  pal::Pal pal(std::make_unique<pos::RtKernel>());
+  pal::Pal pal(pos::Policy::kRt);
   const std::int64_t n = state.range(0);
   for (std::int64_t i = 0; i < n; ++i) {
     pal.register_deadline(ProcessId{static_cast<std::int32_t>(i)},
@@ -79,7 +76,7 @@ BENCHMARK(BM_Announce_FutureDeadlines)->Arg(1)->Arg(16)->Arg(256);
 
 void BM_Announce_WithViolation(benchmark::State& state) {
   // Violation path: one expired deadline to report and remove per announce.
-  pal::Pal pal(std::make_unique<pos::RtKernel>());
+  pal::Pal pal(pos::Policy::kRt);
   pal.on_deadline_violation = [](ProcessId, Ticks, Ticks) {};
   Ticks now = 1'000;
   std::int32_t pid = 0;

@@ -16,7 +16,7 @@
 // the fault.
 #include <benchmark/benchmark.h>
 
-#include "pos/rt_kernel.hpp"
+#include "pos/kernel.hpp"
 #include "system/module.hpp"
 
 namespace {
@@ -97,7 +97,7 @@ void BM_Flat(benchmark::State& state) {
 
   for (auto _ : state) {
     state.PauseTiming();
-    pos::RtKernel kernel;
+    pos::Kernel kernel{pos::Policy::kRt};
     struct Proc {
       ProcessId pid;
       Ticks remaining{0};

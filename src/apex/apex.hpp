@@ -3,8 +3,9 @@
 // One Apex instance per partition, layered on the partition's PAL (and
 // through it the POS kernel), the PMK channel router, the Health Monitor and
 // the Partition Scheduler. This is AIR's "Portable APEX": every service is
-// implemented against the PAL/IKernel abstraction, never against a concrete
-// POS, so the same APEX runs over the RT kernel and the generic kernel.
+// implemented against the PAL and the kernel's mechanical primitives, never
+// against a scheduling policy, so the same APEX runs over the RT and the
+// round-robin (generic) POS.
 //
 // Implemented services (ARINC 653 P1 plus the P2 mode-based schedule
 // services of Sect. 4.2):
@@ -55,7 +56,7 @@ class Apex {
 
   [[nodiscard]] PartitionId partition() const { return partition_; }
   [[nodiscard]] pal::Pal& pal() { return pal_; }
-  [[nodiscard]] pos::IKernel& kernel() { return pal_.kernel(); }
+  [[nodiscard]] pos::Kernel& kernel() { return pal_.kernel(); }
   [[nodiscard]] pmk::PartitionControlBlock& partition_pcb() { return pcb_; }
 
   // ---------- partition management ----------

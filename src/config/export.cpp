@@ -165,7 +165,8 @@ Value partition_to_json(const system::PartitionConfig& p) {
   Object o;
   o["name"] = Value{p.name};
   o["system"] = Value{p.system_partition};
-  o["pos"] = Value{p.pos_kind};
+  o["pos"] =
+      Value{p.pos_kind == pos::Policy::kRoundRobin ? "generic" : "rt"};
   o["registry"] = Value{
       p.deadline_registry == pal::RegistryKind::kTree ? "tree" : "list"};
 

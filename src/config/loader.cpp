@@ -197,7 +197,12 @@ system::PartitionConfig parse_partition(const Value& p) {
   system::PartitionConfig out;
   out.name = required_string(p, "name", "partition");
   out.system_partition = p.get_bool("system", false);
-  out.pos_kind = p.get_string("pos", "rt");
+  const std::string pos_kind = p.get_string("pos", "rt");
+  if (pos_kind == "generic") {
+    out.pos_kind = pos::Policy::kRoundRobin;
+  } else if (pos_kind != "rt") {
+    fail("unknown POS kind: " + pos_kind);
+  }
   const std::string registry = p.get_string("registry", "list");
   if (registry == "tree") {
     out.deadline_registry = pal::RegistryKind::kTree;

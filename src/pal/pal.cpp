@@ -6,10 +6,7 @@
 
 namespace air::pal {
 
-Pal::Pal(std::unique_ptr<pos::IKernel> kernel, RegistryKind registry_kind)
-    : kernel_(std::move(kernel)) {
-  AIR_ASSERT(kernel_ != nullptr);
-  fast_.bind(kernel_.get());
+Pal::Pal(pos::Policy policy, RegistryKind registry_kind) : kernel_(policy) {
   switch (registry_kind) {
     case RegistryKind::kLinkedList:
       registry_ = std::make_unique<ListDeadlineRegistry>();
@@ -25,14 +22,14 @@ Pal::Pal(std::unique_ptr<pos::IKernel> kernel, RegistryKind registry_kind)
 
 void Pal::announce_ticks(Ticks now, Ticks elapsed) {
   // Algorithm 3, line 1: *POS_CLOCKTICKANNOUNCE(elapsedTicks). Attributed
-  // to the sealed kernel fast path (pos/dispatch.hpp) so the host profile
-  // separates "pal;kernel_dispatch" from the PAL's own deadline walk.
+  // to kKernelDispatch so the host profile separates "pal;kernel_dispatch"
+  // from the PAL's own deadline walk.
   if (profiler_ != nullptr) {
     telemetry::HostProfiler::Scope scope(
         *profiler_, telemetry::ProfilePoint::kKernelDispatch);
-    fast_.tick_announce(now, elapsed);
+    kernel_.tick_announce(now, elapsed);
   } else {
-    fast_.tick_announce(now, elapsed);
+    kernel_.tick_announce(now, elapsed);
   }
 
   // Algorithm 3, lines 2-8: check deadlines in ascending order, stopping at
@@ -88,7 +85,7 @@ void Pal::announce_ticks(Ticks now, Ticks elapsed) {
 }
 
 Ticks Pal::next_attention_tick() const {
-  Ticks next = fast_.next_wake();
+  Ticks next = kernel_.next_wake();
   const DeadlineRecord* rec = registry_->earliest();
   if (rec != nullptr && rec->deadline != kInfiniteTime) {
     // First announce(now) with now > deadline treats it as violated.
@@ -111,7 +108,7 @@ void Pal::advance_idle(Ticks now, Ticks elapsed) {
                  "time-warp span would skip a slack sample");
   // One announce to the end of the span is state-identical to `elapsed`
   // single-tick announces when no timed wait expires inside it.
-  fast_.tick_announce(now, elapsed);
+  kernel_.tick_announce(now, elapsed);
   // Algorithm 3's steady-state path retrieves the earliest deadline exactly
   // once per announce.
   deadline_checks_ += static_cast<std::uint64_t>(elapsed);
@@ -153,7 +150,7 @@ void Pal::reset() {
     }
   }
   registry_->clear();
-  kernel_->reset_all();
+  kernel_.reset_all();
   last_slack_pid_ = ProcessId::invalid();
   last_slack_deadline_ = kInfiniteTime;
   note_registry_depth();

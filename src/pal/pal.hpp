@@ -2,7 +2,7 @@
 //
 // The PAL wraps a partition's operating system, hiding its particularities
 // from the rest of the AIR architecture. It owns:
-//  * the POS kernel instance (RtKernel, GenericKernel, ...);
+//  * the partition's POS kernel (pos::Kernel, RT or round-robin policy);
 //  * the per-partition process deadline registry, plus the private
 //    register/unregister interfaces the APEX uses (Fig. 6);
 //  * the surrogate clock-tick announcement routine (Fig. 7 / Algorithm 3):
@@ -15,7 +15,6 @@
 #include <memory>
 
 #include "pal/deadline_registry.hpp"
-#include "pos/dispatch.hpp"
 #include "pos/kernel.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
@@ -28,18 +27,13 @@ enum class RegistryKind { kLinkedList, kTree, kHeap };
 
 class Pal {
  public:
-  /// Wrap `kernel`; `registry_kind` selects the deadline structure
-  /// (kLinkedList is the paper's implementation).
-  explicit Pal(std::unique_ptr<pos::IKernel> kernel,
+  /// Own a kernel with heir policy `policy`; `registry_kind` selects the
+  /// deadline structure (kLinkedList is the paper's implementation).
+  explicit Pal(pos::Policy policy,
                RegistryKind registry_kind = RegistryKind::kLinkedList);
 
-  [[nodiscard]] pos::IKernel& kernel() { return *kernel_; }
-  [[nodiscard]] const pos::IKernel& kernel() const { return *kernel_; }
-
-  /// Sealed fast path over the wrapped kernel (pos/dispatch.hpp); the
-  /// per-tick execution layers route their kernel calls through this.
-  [[nodiscard]] pos::KernelDispatch& dispatch() { return fast_; }
-  [[nodiscard]] const pos::KernelDispatch& dispatch() const { return fast_; }
+  [[nodiscard]] pos::Kernel& kernel() { return kernel_; }
+  [[nodiscard]] const pos::Kernel& kernel() const { return kernel_; }
 
   /// Surrogate clock tick announcement (Algorithm 3). Invoked by the
   /// partition dispatch path with the module time `now` and the number of
@@ -78,7 +72,7 @@ class Pal {
   /// cancel its deadline.
   void unregister_deadline(ProcessId pid);
 
-  [[nodiscard]] Ticks current_time() const { return fast_.now(); }
+  [[nodiscard]] Ticks current_time() const { return kernel_.now(); }
 
   [[nodiscard]] IDeadlineRegistry& registry() { return *registry_; }
 
@@ -117,8 +111,8 @@ class Pal {
     partition_index_span_ = partition;
   }
 
-  /// Attribute the sealed kernel fast path (tick announce) to the host
-  /// profiler's kKernelDispatch point (nullptr = off). Borrowed; host-time
+  /// Attribute the kernel's tick announce to the host profiler's
+  /// kKernelDispatch point (nullptr = off). Borrowed; host-time
   /// only, never touches deterministic state.
   void set_profiler(telemetry::HostProfiler* profiler) {
     profiler_ = profiler;
@@ -136,8 +130,7 @@ class Pal {
   void note_registry_depth();
   void close_job_span(ProcessId pid, Ticks at, telemetry::SpanStatus status);
 
-  std::unique_ptr<pos::IKernel> kernel_;
-  pos::KernelDispatch fast_;  // bound to *kernel_ at construction
+  pos::Kernel kernel_;
   std::unique_ptr<IDeadlineRegistry> registry_;
   std::uint64_t deadline_checks_{0};
   std::uint64_t violations_{0};

@@ -2,7 +2,6 @@
 
 #include <variant>
 
-#include "pos/generic_kernel.hpp"
 #include "system/module.hpp"
 #include "util/assert.hpp"
 
@@ -130,14 +129,10 @@ OpOutcome apply_service(Module& module, apex::Apex& apex,
           done(apex.raise_application_error(o.code, o.message));
         } else if constexpr (std::is_same_v<T, pos::OpTryDisableClockIrq>) {
           // Paravirtualisation gate (Sect. 2.5): the attempt is refused and
-          // trapped no matter which POS issues it.
-          if (auto* generic =
-                  dynamic_cast<pos::GenericKernel*>(&apex.kernel())) {
-            (void)generic->try_disable_clock_interrupt();
-          } else {
-            module.trace().record(now, EventKind::kClockParavirtTrap,
-                                  partition.value());
-          }
+          // trapped no matter which POS policy issues it.
+          (void)apex.kernel().try_disable_clock_interrupt();
+          module.trace().record(now, EventKind::kClockParavirtTrap,
+                                partition.value());
           done(apex::ReturnCode::kNoError);
         } else if constexpr (std::is_same_v<T, pos::OpMemoryAccess>) {
           std::uint32_t word = 0;
@@ -192,17 +187,14 @@ OpOutcome apply_service(Module& module, apex::Apex& apex,
 
 bool Executor::step(Module& module, PartitionId id, Ticks now) {
   auto& apex = module.apex(id);
-  // Sealed fast path over the partition's kernel: schedule() + pcb() run
-  // once per simulated tick, so they go through the devirtualized dispatch
-  // bound at PAL construction rather than the vtable.
-  pos::KernelDispatch& kernel = module.pal(id).dispatch();
+  pos::Kernel& kernel = module.pal(id).kernel();
 
   bool did_work = false;
   int budget = kMaxServicesPerTick;
   while (budget-- > 0) {
     ProcessId pid;
     {
-      // Attribute the heir-election fast path (O(1) bitmap scan) under the
+      // Attribute the heir election (O(1) bitmap scan) under the
       // executor: "tick;executor;kernel_dispatch" in the host profile.
       telemetry::HostProfiler::Scope scope(
           module.profiler_, telemetry::ProfilePoint::kKernelDispatch);

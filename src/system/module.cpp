@@ -6,8 +6,6 @@
 
 #include "ipc/payload.hpp"
 #include "model/validation.hpp"
-#include "pos/generic_kernel.hpp"
-#include "pos/rt_kernel.hpp"
 #include "system/build_info.hpp"
 #include "system/executor.hpp"
 #include "util/assert.hpp"
@@ -15,16 +13,6 @@
 namespace air::system {
 
 using util::EventKind;
-
-namespace {
-
-std::unique_ptr<pos::IKernel> make_kernel(const std::string& kind) {
-  if (kind == "generic") return std::make_unique<pos::GenericKernel>();
-  AIR_ASSERT_MSG(kind == "rt", "unknown POS kind (use \"rt\" or \"generic\")");
-  return std::make_unique<pos::RtKernel>();
-}
-
-}  // namespace
 
 Module::Module(ModuleConfig config)
     : config_(std::move(config)),
@@ -148,8 +136,7 @@ Module::Module(ModuleConfig config)
     const PartitionConfig& pc = config_.partitions[i];
     const PartitionId id{static_cast<std::int32_t>(i)};
     PartitionRuntime& rt = partitions_[i];
-    rt.pal = std::make_unique<pal::Pal>(make_kernel(pc.pos_kind),
-                                        pc.deadline_registry);
+    rt.pal = std::make_unique<pal::Pal>(pc.pos_kind, pc.deadline_registry);
     if (config_.telemetry.metrics_enabled) {
       rt.pal->set_metrics(&metrics_, static_cast<std::int32_t>(i));
     }
@@ -301,12 +288,6 @@ void Module::wire_partition(PartitionId id) {
     trace_.record(now(), EventKind::kProcessStateChange, id.value(),
                   pid.value(), static_cast<std::int64_t>(state));
   };
-
-  if (auto* generic = dynamic_cast<pos::GenericKernel*>(&rt.pal->kernel())) {
-    generic->on_paravirt_trap = [this, id] {
-      trace_.record(now(), EventKind::kClockParavirtTrap, id.value());
-    };
-  }
 
   rt.apex->console = [this, id](std::string_view line) {
     partitions_[static_cast<std::size_t>(id.value())].console_lines.emplace_back(
@@ -572,7 +553,7 @@ pal::Pal& Module::pal(PartitionId id) {
   return *partitions_[static_cast<std::size_t>(id.value())].pal;
 }
 
-pos::IKernel& Module::kernel(PartitionId id) { return pal(id).kernel(); }
+pos::Kernel& Module::kernel(PartitionId id) { return pal(id).kernel(); }
 
 pmk::PartitionControlBlock& Module::partition_pcb(PartitionId id) {
   AIR_ASSERT(id.valid() &&
@@ -608,7 +589,7 @@ telemetry::MetricsSnapshot Module::metrics_snapshot() {
                            p.deadline_checks());
       metrics_.set_counter(telemetry::Metric::kDeadlineMisses, index,
                            p.violations_detected());
-      const pos::IKernel& k = p.kernel();
+      const pos::Kernel& k = p.kernel();
       metrics_.set_counter(telemetry::Metric::kProcessDispatches, index,
                            k.dispatch_count());
       metrics_.set_counter(telemetry::Metric::kProcessSwitches, index,

@@ -183,7 +183,7 @@ class Module {
   [[nodiscard]] PartitionId partition_id(std::string_view name) const;
   [[nodiscard]] apex::Apex& apex(PartitionId id);
   [[nodiscard]] pal::Pal& pal(PartitionId id);
-  [[nodiscard]] pos::IKernel& kernel(PartitionId id);
+  [[nodiscard]] pos::Kernel& kernel(PartitionId id);
   [[nodiscard]] pmk::PartitionControlBlock& partition_pcb(PartitionId id);
 
   /// Lines written by the partition (REPORT_APPLICATION_MESSAGE / OpLog).

@@ -18,6 +18,7 @@
 #include "pal/pal.hpp"
 #include "pmk/partition.hpp"
 #include "pmk/spatial.hpp"
+#include "pos/kernel.hpp"
 #include "pos/process.hpp"
 #include "telemetry/online.hpp"
 #include "telemetry/profiler.hpp"
@@ -71,8 +72,9 @@ struct EventConfig {
 struct PartitionConfig {
   std::string name;
   bool system_partition{false};
-  /// POS kernel flavour: "rt" (RTOS) or "generic" (non-real-time).
-  std::string pos_kind{"rt"};
+  /// POS kernel heir policy: kRt (RTOS, config "rt") or kRoundRobin
+  /// (non-real-time, config "generic").
+  pos::Policy pos_kind{pos::Policy::kRt};
   pal::RegistryKind deadline_registry{pal::RegistryKind::kLinkedList};
   pmk::PartitionMemoryConfig memory;
 

@@ -186,7 +186,7 @@ void World::run(Ticks ticks) {
   if (workers_ > 1 && !pool_) {
     // The epoch caller claims work alongside the pool, so `workers_` lanes
     // need one fewer thread.
-    pool_ = std::make_unique<WorkerPool>(workers_ - 1);
+    pool_ = std::make_unique<util::WorkerPool>(workers_ - 1);
   }
   const bool pooled =
       pool_ != nullptr && pool_->thread_count() > 0 && modules_.size() > 1;

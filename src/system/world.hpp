@@ -25,7 +25,7 @@
 
 #include "net/bus.hpp"
 #include "system/module.hpp"
-#include "system/worker_pool.hpp"
+#include "util/worker_pool.hpp"
 
 namespace air::system {
 
@@ -177,7 +177,7 @@ class World {
   std::vector<std::size_t> merge_cursor_;  // scratch, parallel to merge_list_
   mutable std::vector<net::StationStats> station_scratch_;
   mutable telemetry::BusSample bus_sample_;  // sample_bus() storage
-  std::unique_ptr<WorkerPool> pool_;
+  std::unique_ptr<util::WorkerPool> pool_;
   std::size_t workers_{1};
   std::size_t warp_blocker_{kUnblocked};
   Stats stats_;

@@ -2,7 +2,7 @@
 //
 // Measures where the real CPU time of a flight goes with nestable scoped
 // probes over a static registry of profile points -- PMK partition
-// scheduler and dispatcher, the sealed pos/dispatch.hpp kernel fast path,
+// scheduler and dispatcher, the POS kernel's announce and heir pick,
 // PAL announce, channel router, bus pump, time-warp scan, epoch barrier,
 // and the telemetry plane itself. Scopes aggregate per *stack path* (the
 // chain of points from the root), so "router under tick" and "router under
@@ -43,7 +43,7 @@ enum class ProfilePoint : std::uint8_t {
   kRouter,           // PMK channel pump
   kPal,              // surrogate clock-tick announce + deadline checks
   kExecutor,         // process script interpretation
-  kKernelDispatch,   // pos/dispatch.hpp sealed kernel fast path
+  kKernelDispatch,   // pos::Kernel tick announce and heir pick (schedule)
   kWarpScan,         // time-warp quiescence scan (Module::warp_headroom)
   kOnlineClose,      // online SLO plane window close
   kTelemetryScrape,  // metrics_snapshot() batched counter scrape

@@ -96,7 +96,7 @@ TEST(ConfigLoader, FullFeaturedConfigParses) {
   EXPECT_EQ(config.partitions.size(), 2u);
   EXPECT_TRUE(config.partitions[0].system_partition);
   EXPECT_EQ(config.partitions[0].deadline_registry, pal::RegistryKind::kTree);
-  EXPECT_EQ(config.partitions[1].pos_kind, "generic");
+  EXPECT_EQ(config.partitions[1].pos_kind, pos::Policy::kRoundRobin);
   EXPECT_EQ(config.partitions[0].error_handler.size(), 2u);
   ASSERT_EQ(config.channels.size(), 2u);
   EXPECT_EQ(config.channels[1].remote_destinations.size(), 1u);
@@ -200,6 +200,19 @@ TEST(ConfigLoader, NetworkConfigRejectsBadGeometry) {
       R"({ "virtual_links": [ { "source": 0 } ] })");
   ASSERT_FALSE(bad_vl.ok());
   EXPECT_NE(bad_vl.error.find("dest"), std::string::npos);
+}
+
+TEST(ConfigLoader, UnknownPosKindIsALoadError) {
+  // Used to load fine and then abort at Module construction.
+  const auto result = config::load_module_config(R"({
+    "partitions": [ { "name": "A", "pos": "foo" } ],
+    "schedules": [ { "id": 0, "mtf": 10,
+      "requirements": [ { "partition": "A", "period": 10, "duration": 10 } ],
+      "windows": [ { "partition": "A", "offset": 0, "duration": 10 } ] } ]
+  })");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error.find("unknown POS kind: foo"), std::string::npos)
+      << result.error;
 }
 
 TEST(ConfigLoader, InvalidScheduleIsCaughtAtModuleConstruction) {

@@ -151,7 +151,8 @@ GeneratedSystem generate_system(std::uint64_t seed) {
   for (int p = 0; p < partitions; ++p) {
     system::PartitionConfig partition;
     partition.name = "P" + std::to_string(p);
-    partition.pos_kind = rng.chance(0.25) ? "generic" : "rt";
+    partition.pos_kind =
+        rng.chance(0.25) ? pos::Policy::kRoundRobin : pos::Policy::kRt;
     partition.deadline_registry = rng.chance(0.5)
                                       ? pal::RegistryKind::kLinkedList
                                       : pal::RegistryKind::kTree;

@@ -3,9 +3,18 @@
 // A Linux-like partition coexists with RTOS partitions. Its attempts to
 // disable the system clock interrupt are paravirtualised away -- trapped,
 // counted, and without any effect on the module's temporal partitioning.
+//
+// The mixed-POS mission is also pinned by a golden digest (the Fig. 8 golden
+// has no round-robin partition). Regenerate it after an *intentional*
+// behaviour change with:
+//   AIR_UPDATE_GOLDEN=1 ./air_tests --gtest_filter='GenericPos.Golden*'
 #include <gtest/gtest.h>
 
-#include "pos/generic_kernel.hpp"
+#include <cstdlib>
+#include <fstream>
+#include <string>
+
+#include "fi/fault_plan.hpp"
 #include "system/module.hpp"
 
 namespace air {
@@ -17,7 +26,6 @@ system::ModuleConfig mixed_pos_config() {
   system::ModuleConfig config;
   system::PartitionConfig rt;
   rt.name = "RT";
-  rt.pos_kind = "rt";
   system::ProcessConfig control;
   control.attrs.name = "control";
   control.attrs.period = 50;
@@ -29,7 +37,7 @@ system::ModuleConfig mixed_pos_config() {
 
   system::PartitionConfig linux_like;
   linux_like.name = "LINUX";
-  linux_like.pos_kind = "generic";
+  linux_like.pos_kind = pos::Policy::kRoundRobin;
   for (int i = 0; i < 2; ++i) {
     system::ProcessConfig task;
     task.attrs.name = "task" + std::to_string(i);
@@ -63,10 +71,50 @@ TEST(GenericPos, ClockDisableAttemptsAreTrappedNotObeyed) {
   ASSERT_FALSE(traps.empty());
   for (const auto& e : traps) EXPECT_EQ(e.a, linux_id.value());
 
-  auto* kernel =
-      dynamic_cast<pos::GenericKernel*>(&module.kernel(linux_id));
-  ASSERT_NE(kernel, nullptr);
-  EXPECT_EQ(kernel->paravirt_traps(), traps.size());
+  EXPECT_EQ(module.kernel(linux_id).paravirt_traps(), traps.size());
+}
+
+constexpr const char* kGoldenMixedPosPath =
+    AIR_SOURCE_DIR "/tests/golden/mixed_pos_trace.digest";
+
+// Digest of the mixed-POS mission: the event trace (round-robin order,
+// paravirt traps, deadline events) plus every kernel's dispatch counters.
+std::uint64_t mixed_pos_digest(bool warp) {
+  system::Module module(mixed_pos_config());
+  module.set_time_warp(warp);
+  module.run(1000);
+  std::string counters;
+  for (std::size_t i = 0; i < module.partition_count(); ++i) {
+    const auto& kernel =
+        module.kernel(PartitionId{static_cast<std::int32_t>(i)});
+    counters += std::to_string(kernel.dispatch_count()) + " " +
+                std::to_string(kernel.process_switches()) + "\n";
+  }
+  return fi::digest64(counters, fi::digest64(module.trace().to_text()));
+}
+
+TEST(GenericPos, GoldenMixedPosTraceIsUnchanged) {
+  const std::uint64_t per_tick = mixed_pos_digest(/*warp=*/false);
+  const std::uint64_t warped = mixed_pos_digest(/*warp=*/true);
+  EXPECT_EQ(per_tick, warped)
+      << "time-warp fast-forward altered the mixed-POS trace";
+
+  if (std::getenv("AIR_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(kGoldenMixedPosPath, std::ios::binary);
+    out << "module " << std::hex << per_tick << "\n";
+    GTEST_SKIP() << "golden digest regenerated at " << kGoldenMixedPosPath;
+  }
+
+  std::ifstream in(kGoldenMixedPosPath);
+  ASSERT_TRUE(in) << "missing " << kGoldenMixedPosPath
+                  << " -- regenerate with AIR_UPDATE_GOLDEN=1";
+  std::string key;
+  std::uint64_t golden = 0;
+  in >> key >> std::hex >> golden;
+  EXPECT_EQ(key, "module");
+  EXPECT_EQ(per_tick, golden)
+      << "mixed-POS trace diverged from the golden snapshot; if the change "
+         "is intentional, regenerate with AIR_UPDATE_GOLDEN=1";
 }
 
 TEST(GenericPos, RtPartitionTimelinessIsUnaffected) {

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "pal/pal.hpp"
-#include "pos/rt_kernel.hpp"
 #include "util/rng.hpp"
 
 namespace air::pal {
@@ -138,7 +137,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, RegistryTest,
 
 class PalTest : public ::testing::Test {
  protected:
-  PalTest() : pal_(std::make_unique<pos::RtKernel>()) {
+  PalTest() : pal_(pos::Policy::kRt) {
     pal_.on_deadline_violation = [this](ProcessId pid, Ticks deadline,
                                         Ticks detected) {
       violations_.push_back({pid, deadline, detected});

@@ -3,8 +3,7 @@
 // extremes, generic-kernel periodic behaviour, script-driven start/stop.
 #include <gtest/gtest.h>
 
-#include "pos/generic_kernel.hpp"
-#include "pos/rt_kernel.hpp"
+#include "pos/kernel.hpp"
 #include "system/module.hpp"
 
 namespace air {
@@ -15,7 +14,7 @@ using pos::ScriptBuilder;
 // ---------- kernel-level edges ----------
 
 TEST(PosEdge, SuspendWithTimeoutExpiresIntoTimeoutResult) {
-  pos::RtKernel kernel;
+  pos::Kernel kernel{pos::Policy::kRt};
   pos::ProcessAttributes attrs;
   attrs.name = "a";
   attrs.priority = 10;
@@ -30,7 +29,7 @@ TEST(PosEdge, SuspendWithTimeoutExpiresIntoTimeoutResult) {
 }
 
 TEST(PosEdge, ManyProcessesSchedulingStaysCorrect) {
-  pos::RtKernel kernel;
+  pos::Kernel kernel{pos::Policy::kRt};
   std::vector<ProcessId> pids;
   for (int i = 0; i < 200; ++i) {
     pos::ProcessAttributes attrs;
@@ -56,7 +55,7 @@ TEST(PosEdge, ManyProcessesSchedulingStaysCorrect) {
 }
 
 TEST(PosEdge, PriorityBoundaryValues) {
-  pos::RtKernel kernel;
+  pos::Kernel kernel{pos::Policy::kRt};
   pos::ProcessAttributes hi;
   hi.name = "hi";
   hi.priority = 0;
@@ -74,8 +73,8 @@ TEST(PosEdge, PriorityBoundaryValues) {
 
 TEST(PosEdge, GenericKernelHonoursTimedWaits) {
   // Round-robin ignores priorities but timed waits still work through the
-  // shared base machinery.
-  pos::GenericKernel kernel;
+  // shared kernel machinery.
+  pos::Kernel kernel{pos::Policy::kRoundRobin};
   pos::ProcessAttributes attrs;
   attrs.name = "sleeper";
   const ProcessId a = kernel.create_process(std::move(attrs));

@@ -1,11 +1,10 @@
-// POS kernel tests: the heir rule of eq. (14) for the RT kernel
-// (priority-preemptive, FIFO within priority), process state machinery,
-// timed wake-ups, preemption locking, and the generic kernel's round-robin
-// and paravirtualisation behaviour.
+// POS kernel tests: the heir rule of eq. (14) under the RT policy
+// (priority-preemptive, FIFO within priority), round-robin under the
+// generic policy, and -- for both policies -- process state machinery,
+// timed wake-ups and the paravirtualised clock gate.
 #include <gtest/gtest.h>
 
-#include "pos/generic_kernel.hpp"
-#include "pos/rt_kernel.hpp"
+#include "pos/kernel.hpp"
 
 namespace air::pos {
 namespace {
@@ -19,15 +18,22 @@ ProcessAttributes attrs(std::string name, Priority priority,
   return a;
 }
 
-class RtKernelTest : public ::testing::Test {
+class KernelFixture {
  protected:
+  explicit KernelFixture(Policy policy) : kernel_(policy) {}
+
   ProcessId spawn(std::string name, Priority priority) {
-    const ProcessId pid = kernel_.create_process(attrs(std::move(name), priority));
-    kernel_.pcb(pid)->current_priority = priority;
-    return pid;
+    return kernel_.create_process(attrs(std::move(name), priority));
   }
 
-  RtKernel kernel_;
+  Kernel kernel_;
+};
+
+// ---------- RT policy: eq. (14) ----------
+
+class RtKernelTest : public ::testing::Test, protected KernelFixture {
+ protected:
+  RtKernelTest() : KernelFixture(Policy::kRt) {}
 };
 
 TEST_F(RtKernelTest, HighestPriorityReadyProcessWins) {
@@ -113,7 +119,15 @@ TEST_F(RtKernelTest, PreemptionLockKeepsTheCurrentProcess) {
   EXPECT_EQ(kernel_.schedule(), high);
 }
 
-TEST_F(RtKernelTest, TickAnnounceWakesExpiredWaits) {
+// ---------- both policies: shared table, timer and state machinery ----------
+
+class KernelTest : public ::testing::TestWithParam<Policy>,
+                   protected KernelFixture {
+ protected:
+  KernelTest() : KernelFixture(GetParam()) {}
+};
+
+TEST_P(KernelTest, TickAnnounceWakesExpiredWaits) {
   const ProcessId a = spawn("a", 10);
   const ProcessId b = spawn("b", 20);
   kernel_.make_ready(a);
@@ -129,7 +143,7 @@ TEST_F(RtKernelTest, TickAnnounceWakesExpiredWaits) {
   EXPECT_EQ(kernel_.pcb(a)->wake_result, WakeResult::kOk);
 }
 
-TEST_F(RtKernelTest, BatchedAnnounceWakesEverythingInBetween) {
+TEST_P(KernelTest, BatchedAnnounceWakesEverythingInBetween) {
   // The surrogate announce after partition inactivity passes elapsed > 1;
   // every wait expiring in the gap must wake.
   const ProcessId a = spawn("a", 10);
@@ -139,7 +153,7 @@ TEST_F(RtKernelTest, BatchedAnnounceWakesEverythingInBetween) {
   EXPECT_EQ(kernel_.pcb(a)->state, ProcessState::kReady);
 }
 
-TEST_F(RtKernelTest, SemaphoreStyleTimeoutYieldsTimeoutResult) {
+TEST_P(KernelTest, SemaphoreStyleTimeoutYieldsTimeoutResult) {
   const ProcessId a = spawn("a", 10);
   kernel_.make_ready(a);
   kernel_.block(a, WaitReason::kSemaphore, 7);
@@ -148,7 +162,7 @@ TEST_F(RtKernelTest, SemaphoreStyleTimeoutYieldsTimeoutResult) {
   EXPECT_EQ(kernel_.pcb(a)->wake_result, WakeResult::kTimeout);
 }
 
-TEST_F(RtKernelTest, SuspendDefersWakeUntilResume) {
+TEST_P(KernelTest, SuspendDefersWakeUntilResume) {
   const ProcessId a = spawn("a", 10);
   kernel_.make_ready(a);
   kernel_.block(a, WaitReason::kSemaphore, kInfiniteTime);
@@ -162,7 +176,7 @@ TEST_F(RtKernelTest, SuspendDefersWakeUntilResume) {
   EXPECT_EQ(kernel_.pcb(a)->wake_result, WakeResult::kOk);
 }
 
-TEST_F(RtKernelTest, MakeDormantClearsFromQueues) {
+TEST_P(KernelTest, MakeDormantClearsFromQueues) {
   const ProcessId a = spawn("a", 10);
   kernel_.make_ready(a);
   EXPECT_EQ(kernel_.schedule(), a);
@@ -171,7 +185,7 @@ TEST_F(RtKernelTest, MakeDormantClearsFromQueues) {
   EXPECT_EQ(kernel_.pcb(a)->state, ProcessState::kDormant);
 }
 
-TEST_F(RtKernelTest, ResetAllRewindsEveryProcess) {
+TEST_P(KernelTest, ResetAllRewindsEveryProcess) {
   const ProcessId a = spawn("a", 10);
   kernel_.make_ready(a);
   kernel_.pcb(a)->pc = 3;
@@ -183,7 +197,7 @@ TEST_F(RtKernelTest, ResetAllRewindsEveryProcess) {
   EXPECT_EQ(kernel_.schedule(), ProcessId::invalid());
 }
 
-TEST_F(RtKernelTest, StateChangeHookObservesTransitions) {
+TEST_P(KernelTest, StateChangeHookObservesTransitions) {
   std::vector<std::pair<ProcessId, ProcessState>> events;
   kernel_.on_state_change = [&](ProcessId pid, ProcessState state) {
     events.emplace_back(pid, state);
@@ -198,16 +212,29 @@ TEST_F(RtKernelTest, StateChangeHookObservesTransitions) {
   EXPECT_EQ(events[2].second, ProcessState::kWaiting);
 }
 
-TEST_F(RtKernelTest, FindProcessByName) {
+TEST_P(KernelTest, FindProcessByName) {
   const ProcessId a = spawn("alpha", 10);
   EXPECT_EQ(kernel_.find_process("alpha"), a);
   EXPECT_FALSE(kernel_.find_process("beta").valid());
 }
 
-// ---------- GenericKernel ----------
+TEST_P(KernelTest, ParavirtTrapRefusesClockManipulation) {
+  EXPECT_FALSE(kernel_.try_disable_clock_interrupt());
+  EXPECT_FALSE(kernel_.try_disable_clock_interrupt());
+  EXPECT_EQ(kernel_.paravirt_traps(), 2u);
+}
 
-TEST(GenericKernel, RoundRobinRotatesThroughReadyProcesses) {
-  GenericKernel kernel;
+INSTANTIATE_TEST_SUITE_P(Both, KernelTest,
+                         ::testing::Values(Policy::kRt, Policy::kRoundRobin),
+                         [](const ::testing::TestParamInfo<Policy>& info) {
+                           return info.param == Policy::kRt ? "Rt"
+                                                            : "RoundRobin";
+                         });
+
+// ---------- round-robin policy ----------
+
+TEST(RoundRobinKernel, RotatesThroughReadyProcesses) {
+  Kernel kernel{Policy::kRoundRobin};
   const ProcessId a = kernel.create_process(attrs("a", 10));
   const ProcessId b = kernel.create_process(attrs("b", 200));
   const ProcessId c = kernel.create_process(attrs("c", 50));
@@ -221,18 +248,8 @@ TEST(GenericKernel, RoundRobinRotatesThroughReadyProcesses) {
   EXPECT_EQ(kernel.schedule(), a);
 }
 
-TEST(GenericKernel, ParavirtTrapRefusesClockManipulation) {
-  GenericKernel kernel;
-  int traps = 0;
-  kernel.on_paravirt_trap = [&] { ++traps; };
-  EXPECT_FALSE(kernel.try_disable_clock_interrupt());
-  EXPECT_FALSE(kernel.try_disable_clock_interrupt());
-  EXPECT_EQ(kernel.paravirt_traps(), 2u);
-  EXPECT_EQ(traps, 2);
-}
-
-TEST(GenericKernel, SetPriorityIsRecordedButNotHonoured) {
-  GenericKernel kernel;
+TEST(RoundRobinKernel, SetPriorityIsRecordedButNotHonoured) {
+  Kernel kernel{Policy::kRoundRobin};
   const ProcessId a = kernel.create_process(attrs("a", 10));
   const ProcessId b = kernel.create_process(attrs("b", 20));
   kernel.make_ready(a);
