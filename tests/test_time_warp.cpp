@@ -5,9 +5,14 @@
 // executions over a bag of seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 
 #include "config/fig8.hpp"
+#include "fi/campaign.hpp"
+#include "fi/injector.hpp"
+#include "mixed_pos_config.hpp"
 #include "model/generator.hpp"
 #include "pos/workload.hpp"
 #include "system/module.hpp"
@@ -295,6 +300,93 @@ TEST(TimeWarp, WorldLockstepWarpMatchesStepped) {
            std::to_string(world.now());
   };
   EXPECT_EQ(mission(false), mission(true));
+}
+
+// Split-warp property: a quiescent module's warp may be paid in pieces.
+// The sparse World driver relies on it -- it defers an idle module's warp
+// across epochs and settles the whole debt in one call -- so for headroom h
+// and any a + b <= h, warp_advance(a); warp_advance(b) must leave exactly
+// the state of warp_advance(a + b), and the headroom must shrink by a.
+std::string observable(system::Module& module) {
+  const telemetry::MetricsSnapshot snap = module.metrics_snapshot();
+  return util::to_json(module.trace()) + telemetry::to_json(snap) +
+         telemetry::spans_to_json(module.spans()) + apex_visible_state(module);
+}
+
+/// Flies `whole` and `split` (built identically) tick by tick for `span`
+/// ticks. At every quiescent point with headroom >= 2 it draws a split
+/// a + b <= headroom, warps `split` in two calls and `whole` in one, and
+/// compares. Returns the number of split points checked.
+int check_split_warps(system::Module& whole, system::Module& split,
+                      Ticks span, std::uint64_t seed) {
+  util::Rng rng(seed);
+  int checked = 0;
+  while (whole.now() < span && !whole.stopped()) {
+    const Ticks h = whole.warp_headroom();
+    EXPECT_EQ(h, split.warp_headroom()) << "t=" << whole.now();
+    const Ticks total = std::min(h, span - whole.now());
+    if (total >= 2) {
+      const Ticks sum = rng.uniform(2, total);
+      const Ticks a = rng.uniform(1, sum - 1);
+      split.warp_advance(a);
+      EXPECT_EQ(split.warp_headroom(), h - a) << "t=" << whole.now();
+      split.warp_advance(sum - a);
+      whole.warp_advance(sum);
+      EXPECT_EQ(observable(whole), observable(split))
+          << "warp " << a << " + " << sum - a << " at t=" << whole.now();
+      ++checked;
+    }
+    whole.tick_once();
+    split.tick_once();
+  }
+  EXPECT_EQ(observable(whole), observable(split)) << "final state";
+  return checked;
+}
+
+TEST(TimeWarpSplit, Fig8SplitWarpsMatchOneWarp) {
+  const auto build = [] {
+    auto module = std::make_unique<system::Module>(scenarios::fig8_config());
+    module->start_process_by_name(module->partition_id("AOCS"),
+                                  scenarios::kFaultyProcessName);
+    return module;
+  };
+  auto whole = build();
+  auto split = build();
+  EXPECT_GT(check_split_warps(*whole, *split, 3 * scenarios::kFig8Mtf, 1),
+            10);
+}
+
+TEST(TimeWarpSplit, MixedPosSplitWarpsMatchOneWarp) {
+  system::Module whole(mixed_pos_config());
+  system::Module split(mixed_pos_config());
+  EXPECT_GT(check_split_warps(whole, split, 1'000, 2), 10);
+}
+
+TEST(TimeWarpSplit, OnlinePlaneAndTickHookSplitWarpsMatchOneWarp) {
+  // Both bound the headroom from outside the partition stack: the online
+  // plane by its next window close, the injector by its next fault tick.
+  fi::FaultPlan plan;
+  plan.injections = {
+      {200, fi::FaultClass::kMemoryBitFlip, 3, 129, 5},
+      {1500, fi::FaultClass::kRogueWrite, 1, 0, 0},
+      {2900, fi::FaultClass::kApplicationError, 2, 0, 0},
+  };
+  const auto config = [] {
+    system::ModuleConfig c = fi::campaign_fig8_config(/*weaken_hm=*/false);
+    c.telemetry.online.enabled = true;
+    c.telemetry.online.window = 325;
+    return c;
+  };
+  system::Module whole(config());
+  system::Module split(config());
+  fi::Injector whole_hook(plan);
+  fi::Injector split_hook(plan);
+  whole_hook.arm(whole);
+  split_hook.arm(split);
+  EXPECT_GT(check_split_warps(whole, split, 3 * scenarios::kFig8Mtf, 3), 10);
+  ASSERT_NE(whole.online(), nullptr);
+  EXPECT_GT(whole.online()->windows_closed(), 0u);
+  EXPECT_EQ(whole_hook.log().size(), plan.injections.size());
 }
 
 TEST(TimeWarp, ProfilerForcesStepping) {
