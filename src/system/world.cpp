@@ -24,9 +24,10 @@ Module& World::add_module(ModuleConfig config) {
   staged_.emplace_back();
   Module& module = *modules_.back();
   mods_.push_back(&module);
-  live_.push_back(1);
+  live_.push_back(kWarping);  // refresh_columns() sets the real state
+  lag_.push_back(0);
+  quiet_.push_back(0);
   staged_dirty_.push_back(0);
-  ++live_count_;
   // Telemetry state must be module-confined: workers advance modules
   // concurrently, so no recorder may be shared with the bus (or, by unique
   // origin above, with any other module).
@@ -47,10 +48,16 @@ Module& World::add_module(ModuleConfig config) {
     staged_[index].push_back({mods_[index]->now(), dest, message, kind});
     staged_dirty_[index] = 1;  // own lane's byte: race-free under the pool
   };
-  bus_.attach(id, [&module](PartitionId partition, const std::string& port,
-                            const ipc::Message& message,
-                            ipc::ChannelKind kind) {
-    module.deliver_remote(partition, port, message, kind);
+  // Deliveries land at the barrier, serially. A module whose warp the
+  // epoch driver deferred is brought to the delivery tick first, and its
+  // headroom is re-read afterwards (the frame may have woken a process).
+  bus_.attach(id, [this, index](PartitionId partition, const std::string& port,
+                                const ipc::Message& message,
+                                ipc::ChannelKind kind) {
+    settle(index);
+    Module& target = *mods_[index];
+    target.deliver_remote(partition, port, message, kind);
+    quiet_[index] = target.warp_headroom();
   });
   return module;
 }
@@ -86,11 +93,26 @@ void World::refresh_live() {
   // `stopped` is monotone, so demotion is the only transition; scan the
   // compact byte column and only dereference modules still marked live.
   for (std::size_t i = 0; i < live_.size(); ++i) {
-    if (live_[i] != 0 && mods_[i]->stopped()) {
-      live_[i] = 0;
-      --live_count_;
-    }
+    if (live_[i] != kStopped && mods_[i]->stopped()) live_[i] = kStopped;
   }
+}
+
+void World::refresh_columns() {
+  refresh_live();
+  for (std::size_t i = 0; i < live_.size(); ++i) {
+    if (live_[i] == kStopped) continue;
+    const Module& module = *mods_[i];
+    live_[i] = module.time_warp_enabled() ? kWarping : kStepping;
+    quiet_[i] = module.warp_headroom();
+  }
+}
+
+void World::settle(std::size_t i) {
+  if (lag_[i] == 0) return;
+  // lag_ <= quiet_ by the due test, so this run is one pure warp.
+  mods_[i]->run(lag_[i]);
+  lag_[i] = 0;
+  ++stats_.settles;
 }
 
 void World::set_workers(std::size_t workers) {
@@ -113,11 +135,13 @@ Ticks World::epoch_horizon(Ticks limit) const {
   if (next < kInfiniteTime) horizon = std::min(horizon, next - now_ + 1);
   // New traffic: a module quiescent for q ticks cannot emit a frame before
   // now + q, so nothing it sends can arrive before now + q + delay. A busy
-  // module (q = 0) may send on the very next tick.
+  // module (q = 0) may send on the very next tick. A module lagging by l
+  // ticks has warp_headroom() - l ticks left at now (split-warp property),
+  // so the columns give exactly the headroom a module read would.
   const Ticks delay = bus_.config().propagation_delay;
   for (std::size_t i = 0; i < live_.size(); ++i) {
-    if (live_[i] == 0) continue;
-    const Ticks quiet = mods_[i]->warp_headroom();
+    if (live_[i] == kStopped) continue;
+    const Ticks quiet = quiet_[i] - lag_[i];
     if (quiet >= kInfiniteTime - delay - 1) continue;  // no constraint
     horizon = std::min(horizon, quiet + delay + 1);
   }
@@ -190,6 +214,8 @@ void World::run(Ticks ticks) {
   }
   const bool pooled =
       pool_ != nullptr && pool_->thread_count() > 0 && modules_.size() > 1;
+  // Every module sits at now_ (lag 0) between runs.
+  refresh_columns();
   Ticks done = 0;
   while (done < ticks) {
     // One epoch round is the World profiler's sampling unit. The scopes
@@ -199,24 +225,36 @@ void World::run(Ticks ticks) {
     profiler_.begin_tick();
     telemetry::HostProfiler::Scope epoch_scope(
         profiler_, telemetry::ProfilePoint::kEpoch);
-    // Stopped modules fall out of every scan below: refresh the live
-    // column once per epoch (modules only stop while running, so the bits
-    // are exact until the pool runs again).
-    refresh_live();
     const Ticks span = epoch_horizon(ticks - done);
     const Ticks start = now_;
-    const std::uint64_t active = live_count_;
-    if (pooled) {
-      // Workers read the live byte (frozen during the epoch) to skip dead
-      // lanes without touching the module row.
-      const auto task = [this, span](std::size_t i) {
-        if (live_[i] != 0) mods_[i]->run(span);
-      };
-      pool_->run(mods_.size(), task);
-    } else {
-      for (std::size_t i = 0; i < live_.size(); ++i) {
-        if (live_[i] != 0) mods_[i]->run(span);
+    // Due test: a module whose next event lies past the epoch would only
+    // warp through it, so it just accrues the span as lag.
+    due_.clear();
+    for (std::size_t i = 0; i < live_.size(); ++i) {
+      if (live_[i] == kStopped) continue;
+      if (live_[i] == kStepping || quiet_[i] - lag_[i] < span) {
+        due_.push_back(i);
+      } else {
+        lag_[i] += span;
       }
+    }
+    // A due module runs its deferred warp and the epoch in one call; only
+    // its own lag/quiet entries are written, so lanes never share a slot.
+    const auto advance = [this, span](std::size_t i) {
+      Module& module = *mods_[i];
+      module.run(lag_[i] + span);
+      lag_[i] = 0;
+      quiet_[i] = module.warp_headroom();
+    };
+    if (pooled) {
+      pool_->run(due_.size(),
+                 [this, &advance](std::size_t k) { advance(due_[k]); });
+    } else {
+      for (const std::size_t i : due_) advance(i);
+    }
+    // Only a module that ran can have stopped; settles are pure warps.
+    for (const std::size_t i : due_) {
+      if (mods_[i]->stopped()) live_[i] = kStopped;
     }
     {
       telemetry::HostProfiler::Scope barrier_scope(
@@ -227,8 +265,9 @@ void World::run(Ticks ticks) {
     done += span;
     ++stats_.epochs;
     stats_.epoch_ticks += static_cast<std::uint64_t>(span);
-    stats_.module_ticks += active * static_cast<std::uint64_t>(span);
+    stats_.module_runs += due_.size();
   }
+  for (std::size_t i = 0; i < lag_.size(); ++i) settle(i);
 }
 
 Ticks World::lockstep_headroom(Ticks limit) {
@@ -254,7 +293,7 @@ Ticks World::lockstep_headroom(Ticks limit) {
   // A stopped module never changes state again, so it bounds nothing.
   refresh_live();
   for (std::size_t i = 0; i < live_.size(); ++i) {
-    if (live_[i] == 0) continue;
+    if (live_[i] == kStopped) continue;
     const Module& module = *mods_[i];
     if (!module.time_warp_enabled()) {
       warp_blocker_ = i;
@@ -281,7 +320,7 @@ void World::run_lockstep(Ticks ticks) {
       // warp_advance is a no-op on stopped modules, so walking only the
       // live column is byte-identical to walking every module.
       for (std::size_t i = 0; i < live_.size(); ++i) {
-        if (live_[i] != 0) mods_[i]->warp_advance(n);
+        if (live_[i] != kStopped) mods_[i]->warp_advance(n);
       }
       // Bus stats are provably frozen across the warped span (no queued
       // frames, no delivery before its end), so boundaries inside it close
@@ -297,7 +336,7 @@ void World::run_lockstep(Ticks ticks) {
     }
     profiler_.begin_tick();
     for (std::size_t i = 0; i < live_.size(); ++i) {
-      if (live_[i] != 0) mods_[i]->tick_once();
+      if (live_[i] != kStopped) mods_[i]->tick_once();
     }
     // Inject this tick's staged frames in module attach order -- exactly
     // where the modules' direct Bus::send calls used to land. The dirty
@@ -335,21 +374,26 @@ std::string World::status_report() const {
       stats_.epochs > 0 ? static_cast<double>(stats_.epoch_ticks) /
                               static_cast<double>(stats_.epochs)
                         : 0.0;
-  // Pool feed ratio: module-lane ticks actually offered per worker lane.
-  // 1.0 = every lane busy each epoch; < 1.0 = more workers than runnable
-  // modules. Deterministic by construction (no wall clock in the core).
+  // Pool feed ratio: module runs actually offered per worker lane and
+  // epoch. >= 1.0 = on average every lane has a module each epoch; < 1.0 =
+  // fewer due modules than lanes. Deterministic by construction (no wall
+  // clock in the core).
   const double utilisation =
-      stats_.epoch_ticks > 0
-          ? static_cast<double>(stats_.module_ticks) /
-                (static_cast<double>(stats_.epoch_ticks) *
-                 static_cast<double>(workers_))
-          : 0.0;
+      stats_.epochs > 0 ? static_cast<double>(stats_.module_runs) /
+                              (static_cast<double>(stats_.epochs) *
+                               static_cast<double>(workers_))
+                        : 0.0;
   std::snprintf(line, sizeof line,
                 "  epochs: %llu (ticks=%llu, mean length=%.1f, "
                 "worker utilisation=%.2f)\n",
                 static_cast<unsigned long long>(stats_.epochs),
                 static_cast<unsigned long long>(stats_.epoch_ticks),
                 mean_epoch, utilisation);
+  out += line;
+  std::snprintf(line, sizeof line,
+                "  sparse: module runs=%llu settles=%llu\n",
+                static_cast<unsigned long long>(stats_.module_runs),
+                static_cast<unsigned long long>(stats_.settles));
   out += line;
   std::snprintf(line, sizeof line,
                 "  lockstep: ticks=%llu warped=%llu spans=%llu\n",

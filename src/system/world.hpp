@@ -8,14 +8,28 @@
 //    executes tick_once() in attach order, outbound frames are injected
 //    into the bus, the bus ticks. Quiescent spans are warped in lockstep.
 //
-//  - run(): the epoch driver. Per epoch it computes a safe horizon E (no
-//    bus delivery can land before the epoch's final tick, and no module
-//    can emit a frame that would), advances every module independently by
-//    E ticks -- on the worker pool when set_workers() enabled it -- while
-//    remote sends are staged into per-module queues, then merges the
-//    staged frames into the bus in (tick, module attach order) and replays
-//    the bus across the epoch. Staging keeps TDMA arbitration and bus span
-//    numbering independent of thread interleaving. See DESIGN.md section 8.
+//  - run(): the sparse epoch driver. Per epoch it computes a safe horizon
+//    E (no bus delivery can land before the epoch's final tick, and no
+//    module can emit a frame that would) and runs only the modules whose
+//    next event falls inside the epoch -- on the worker pool when
+//    set_workers() enabled it -- while remote sends are staged into
+//    per-module queues. It then merges the staged frames into the bus in
+//    (tick, module attach order) and replays the bus across the epoch.
+//    Staging keeps TDMA arbitration and bus span numbering independent of
+//    thread interleaving.
+//
+//    Sparsity rests on two per-module columns: lag_[i], the ticks module i
+//    still owes relative to now(), and quiet_[i], its warp_headroom() read
+//    at its own clock. A module is due when quiet_ - lag_ < E (or its warp
+//    is off); it then runs lag_ + E ticks at once. Every other module only
+//    adds E to its lag: the whole span would have been one pure warp, and
+//    a warp may be paid in pieces or at once with the same bytes (the
+//    split-warp property, tests/test_time_warp.cpp). Deferred warps are
+//    settled just before a bus delivery into the module and for every
+//    module when run() returns, so a caller never sees a module behind
+//    now(). The horizon reads quiet_ - lag_, which is exactly the headroom
+//    a dense driver would have read, so epochs are unchanged. See
+//    DESIGN.md section 8.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +61,9 @@ class World {
   /// Construct and attach a module. The module's id must be unique.
   Module& add_module(ModuleConfig config);
 
-  /// Advance every module and the bus by `ticks` (epoch driver; parallel
-  /// across modules when set_workers() gave the pool more than one lane).
+  /// Advance every module and the bus by `ticks` (sparse epoch driver;
+  /// parallel across due modules when set_workers() gave the pool more than
+  /// one lane). Every module sits at now() when it returns.
   void run(Ticks ticks);
 
   /// Advance by `ticks` with the reference per-tick lockstep semantics.
@@ -66,7 +81,8 @@ class World {
   struct Stats {
     std::uint64_t epochs{0};           // epoch rounds executed by run()
     std::uint64_t epoch_ticks{0};      // world ticks advanced via epochs
-    std::uint64_t module_ticks{0};     // per-module ticks inside epochs
+    std::uint64_t module_runs{0};      // Module::run calls issued by epochs
+    std::uint64_t settles{0};          // deferred warps paid off
     std::uint64_t frames_merged{0};    // staged frames injected at barriers
     std::uint64_t lockstep_ticks{0};   // per-tick steps in run_lockstep()
     std::uint64_t lockstep_warped{0};  // lockstep-warped ticks
@@ -75,7 +91,8 @@ class World {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// World section of the integrator status report: module count, epoch
-  /// totals, mean epoch length, worker-pool feed ratio.
+  /// totals, mean epoch length, module runs and settles, worker-pool feed
+  /// ratio.
   [[nodiscard]] std::string status_report() const;
 
   /// Enable the online bus plane: digest windows over the TDMA bus (per
@@ -126,12 +143,21 @@ class World {
 
   /// Safe epoch length in [1, limit]: no bus delivery (from in-flight or
   /// queued frames, nor from anything a module could send this epoch) can
-  /// land before the epoch's final tick. Scans only live modules.
+  /// land before the epoch's final tick. Reads only the live, lag and
+  /// quiet columns -- no module is touched.
   [[nodiscard]] Ticks epoch_horizon(Ticks limit) const;
 
   /// Demote live_ bits for modules that stopped since the last refresh
   /// (stopping is monotone, so a cleared bit never needs rechecking).
   void refresh_live();
+
+  /// Re-read every live module's warp switch and headroom: callers may
+  /// mutate modules between runs (schedule switches, start_process,
+  /// set_time_warp, tick hooks).
+  void refresh_columns();
+
+  /// Pay module i's deferred warp so it sits at now() (no-op at lag 0).
+  void settle(std::size_t i);
 
   /// Inject the staged frames of epoch [start, start + ticks) in (tick,
   /// module attach order) and replay the bus across the span.
@@ -151,6 +177,9 @@ class World {
   /// byte-identical under lockstep and epochs.
   [[nodiscard]] const telemetry::BusSample& sample_bus() const;
 
+  static constexpr std::uint8_t kStopped = 0;
+  static constexpr std::uint8_t kWarping = 1;
+  static constexpr std::uint8_t kStepping = 2;
   static constexpr std::size_t kUnblocked = static_cast<std::size_t>(-1);
   static constexpr std::size_t kBusBlocked = static_cast<std::size_t>(-2);
 
@@ -166,13 +195,19 @@ class World {
   // the tick loops and the epoch driver's horizon scans walk compact
   // arrays, not a pointer chase over unique_ptrs:
   std::vector<Module*> mods_;        // flat pointers, attach order
-  std::vector<std::uint8_t> live_;   // 1 = not stopped (monotone 1 -> 0)
+  /// kStopped (monotone: never left), kWarping, or kStepping (time warp
+  /// off: due every epoch).
+  std::vector<std::uint8_t> live_;
+  // Sparse-epoch columns. Entry i is written by the lane running module i
+  // or, serially, by the barrier and run()'s settle pass.
+  std::vector<Ticks> lag_;    // ticks owed relative to now_ (pure warp)
+  std::vector<Ticks> quiet_;  // warp_headroom() at the module's own clock
   /// 1 = staged_[i] is non-empty. Byte i is written only by the lane
   /// advancing module i (its own staging queue), so the column is safe
   /// under the pooled epoch driver and lets the merge/injection loops skip
   /// idle modules with a byte scan instead of touching every deque.
   std::vector<std::uint8_t> staged_dirty_;
-  std::size_t live_count_{0};
+  std::vector<std::size_t> due_;           // scratch: modules run this epoch
   std::vector<std::size_t> merge_list_;    // scratch: dirty module indices
   std::vector<std::size_t> merge_cursor_;  // scratch, parallel to merge_list_
   mutable std::vector<net::StationStats> station_scratch_;

@@ -174,6 +174,20 @@ TEST(Constellation, ParallelFlight256ModulesCarriesTraffic) {
   EXPECT_EQ(world->bus().switch_count(), 32u);
 }
 
+TEST(Constellation, EpochsRunOnlyTheModulesWithAnEvent) {
+  // The sparse epoch driver (DESIGN.md §8): a beacon satellite has an
+  // event a few times per 400-tick lap, so most epochs find only the few
+  // modules a burst touches due. A silent fallback to dense epochs (every
+  // module run every epoch) would keep every identity test green.
+  constexpr int kModules = 128;
+  auto world = build_constellation(kModules, kPerSwitch);
+  world->run(900);
+  const system::World::Stats& stats = world->stats();
+  ASSERT_GT(stats.epochs, 0u);
+  EXPECT_LT(stats.module_runs * 4, stats.epochs * kModules)
+      << "module runs per epoch must stay well below the module count";
+}
+
 TEST(Constellation, SwitchedTopologyYieldsLongerEpochs) {
   // The perf mechanism behind BENCH_constellation (DESIGN.md §13): at a
   // scale where the flat 2 * N-tick cycle cannot drain a beacon burst

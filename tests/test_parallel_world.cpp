@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -347,6 +349,146 @@ TEST(ParallelWorld, WorkerCountNeverChangesBytes) {
   }
 }
 
+// --- Sparse epochs: deferred warps settled at deliveries and run() ends ---
+
+struct Flight {
+  std::function<void(system::World&)> prepare;  // after construction
+  std::vector<Ticks> legs;                      // one run() call each
+};
+
+struct Flown {
+  std::string bytes;           // the lockstep reference fingerprint
+  system::World::Stats stats;  // of the one-worker epoch flight
+};
+
+/// Flies `mission` once under run_lockstep() over the whole span, then
+/// under run() leg by leg with 1 and with 4 workers; both epoch flights
+/// must reproduce the reference byte for byte.
+Flown expect_matches_lockstep(const Mission& mission, const Flight& flight,
+                              const std::string& label) {
+  const auto build = [&](std::size_t workers) {
+    auto world = std::make_unique<system::World>(mission.bus);
+    for (const system::ModuleConfig& config : mission.modules) {
+      world->add_module(config);
+    }
+    world->set_workers(workers);
+    if (flight.prepare) flight.prepare(*world);
+    return world;
+  };
+  Ticks total = 0;
+  for (const Ticks leg : flight.legs) total += leg;
+  Flown flown;
+  auto reference = build(1);
+  reference->run_lockstep(total);
+  flown.bytes = fingerprint(*reference);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    auto world = build(workers);
+    for (const Ticks leg : flight.legs) world->run(leg);
+    EXPECT_EQ(flown.bytes, fingerprint(*world))
+        << label << ": " << workers << " worker(s) diverge from lockstep";
+    if (workers == 1) flown.stats = world->stats();
+  }
+  return flown;
+}
+
+// One partition on the sampling ring id -> dest. Its process computes
+// `compute` ticks, writes and reads the ring, then sleeps `sleep` ticks,
+// forever.
+system::ModuleConfig ring_module(int id, int dest, Ticks compute,
+                                 Ticks sleep) {
+  system::ModuleConfig config;
+  config.id = ModuleId{id};
+  config.name = "r" + std::to_string(id);
+  system::PartitionConfig partition;
+  partition.name = "p0";
+  partition.sampling_ports.push_back(
+      {"OUT", ipc::PortDirection::kSource, 64, kInfiniteTime});
+  partition.sampling_ports.push_back(
+      {"IN", ipc::PortDirection::kDestination, 64, kInfiniteTime});
+  system::ProcessConfig chatter;
+  chatter.attrs.name = "chatter";
+  chatter.attrs.priority = 5;
+  chatter.attrs.script = ScriptBuilder{}
+                             .compute(compute)
+                             .sampling_write(0, "ring-" + std::to_string(id))
+                             .sampling_read(1)
+                             .timed_wait(sleep)
+                             .jump(0)
+                             .build();
+  partition.processes.push_back(std::move(chatter));
+  config.partitions.push_back(std::move(partition));
+  ipc::ChannelConfig ring;
+  ring.id = ChannelId{0};
+  ring.kind = ipc::ChannelKind::kSampling;
+  ring.source = {PartitionId{0}, "OUT"};
+  ring.remote_destinations = {{ModuleId{dest}, PartitionId{0}, "IN"}};
+  config.channels.push_back(std::move(ring));
+  config.schedules = {round_robin(ScheduleId{0}, 1, 1000)};
+  return config;
+}
+
+TEST(SparseEpochWorld, DeliveryIntoADeferredModuleSettlesItFirst) {
+  // r0 computes almost without pause, pinning epochs to the propagation
+  // delay; r2 sleeps 700 ticks at a time, so its warp is deferred across
+  // dozens of epochs until r1's beacon (every ~250 ticks) lands in it.
+  Mission mission;
+  mission.bus = {.slot_length = 2, .frames_per_slot = 2,
+                 .propagation_delay = 3};
+  mission.modules = {ring_module(0, 1, 40, 1), ring_module(1, 2, 2, 250),
+                     ring_module(2, 0, 1, 700)};
+  const Flown flown =
+      expect_matches_lockstep(mission, {nullptr, {2'500}}, "deferred");
+  const system::World::Stats& stats = flown.stats;
+  EXPECT_GT(stats.settles, mission.modules.size())
+      << "more settles than one run() end pays: deliveries settled lag";
+  EXPECT_LT(stats.module_runs, stats.epochs * mission.modules.size())
+      << "idle modules must be deferred, not run every epoch";
+}
+
+TEST(SparseEpochWorld, WarpOffModuleRunsEveryEpochInAWarpingWorld) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const Mission mission = random_mission(seed);
+    const Flight flight{
+        [](system::World& world) { world.module(1).set_time_warp(false); },
+        {mission.phase1, mission.phase2}};
+    const Flown flown = expect_matches_lockstep(
+        mission, flight, "warp-off seed " + std::to_string(seed));
+    EXPECT_GE(flown.stats.module_runs, flown.stats.epochs)
+        << "the stepping module is due in every epoch";
+  }
+}
+
+TEST(SparseEpochWorld, ModuleShutDownByHmMidFlight) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Mission mission = random_mission(seed);
+    system::PartitionConfig& partition = mission.modules[1].partitions[0];
+    partition.hm_table.set(hm::ErrorCode::kApplicationError,
+                           hm::ErrorLevel::kProcess,
+                           hm::RecoveryAction::kStopModule);
+    system::ProcessConfig killer;
+    killer.attrs.name = "killer";
+    killer.attrs.priority = 30;
+    killer.attrs.script = ScriptBuilder{}
+                              .timed_wait(mission.phase1 / 2)
+                              .raise_error(1, "halt")
+                              .build();
+    partition.processes.push_back(std::move(killer));
+    const Flown flown = expect_matches_lockstep(
+        mission, {nullptr, {mission.phase1, mission.phase2}},
+        "shutdown seed " + std::to_string(seed));
+    EXPECT_NE(flown.bytes.find("stopped=1"), std::string::npos)
+        << "seed " << seed << ": HM must stop module 1 mid-flight";
+  }
+}
+
+TEST(SparseEpochWorld, ManyShortRunsMatchOneLongRun) {
+  const Mission mission = random_mission(11);
+  const Flown flown = expect_matches_lockstep(
+      mission, {nullptr, std::vector<Ticks>(600, 1)}, "run(1) x 600");
+  EXPECT_EQ(flown.stats.epochs, 600u);
+  EXPECT_EQ(flown.stats.epoch_ticks, 600u);
+}
+
 TEST(ParallelWorld, StatusReportDescribesTheWorld) {
   const Mission mission = random_mission(3);
   system::World::Stats stats;
@@ -355,10 +497,13 @@ TEST(ParallelWorld, StatusReportDescribesTheWorld) {
   EXPECT_NE(report.find("world t="), std::string::npos) << report;
   EXPECT_NE(report.find("epochs:"), std::string::npos) << report;
   EXPECT_NE(report.find("worker utilisation="), std::string::npos) << report;
+  EXPECT_NE(report.find("module runs="), std::string::npos) << report;
+  EXPECT_NE(report.find("settles="), std::string::npos) << report;
   EXPECT_NE(report.find("bus:"), std::string::npos) << report;
   EXPECT_GT(stats.epochs, 0u);
   EXPECT_GE(stats.epoch_ticks, stats.epochs)
       << "mean epoch length must be >= 1 tick";
+  EXPECT_GT(stats.module_runs, 0u);
 }
 
 TEST(ParallelWorld, EpochsFastForwardIdleWorlds) {
