@@ -6,12 +6,13 @@ and BM_BatchAnalyze_Service/N and fails unless, at N = 256 candidates:
 
   1. service configs_per_second >= MIN_RATIO x the baseline rate. The
      baseline is the pre-service workflow -- every candidate analysed in
-     isolation, rebuilding its PartitionSupply sbf tables (O(MTF*W) each,
-     W the partition's window count) from scratch. The service memoises
-     those tables by canonical window set and fans analyses over the
-     worker pool; on a single-core runner the whole ratio must come from
-     memoisation, which is why the floor is a property of the candidate
-     stream (distinct PSTs ~= count / 8), not of the machine.
+     isolation, rebuilding its PST and its PartitionSupply sbf tables
+     (O(MTF*W) each, W the partition's window count) from scratch. The
+     service builds each distinct PST once, memoises the tables by
+     canonical window set and fans analyses over the worker pool; on a
+     single-core runner the whole ratio must come from memoisation, which
+     is why the floor is a property of the candidate stream (distinct
+     PSTs ~= count / 8), not of the machine.
   2. service configs_per_second >= MIN_FLOOR absolute (a ratio can also be
      met by slowing the strawman; the floor pins the real rate).
   3. service cache_hit_rate >= MIN_HIT_RATE (sanity: the stream actually

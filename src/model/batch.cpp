@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <thread>
 
 #include "util/assert.hpp"
@@ -56,8 +57,38 @@ namespace {
   return key;
 }
 
-/// Approximate heap footprint of one cached PartitionSupply (the
-/// available/prefix/sbf tables; see schedulability.hpp).
+/// PST memo key: the raw integers of everything the PST is built from --
+/// mtf, requirements, then windows -- but not the candidate's name, which
+/// never reaches the analysis.
+[[nodiscard]] std::string pst_key(const Candidate& candidate) {
+  std::string key;
+  key.reserve(sizeof(std::int64_t) *
+              (2 + 3 * (candidate.requirements.size() +
+                        candidate.windows.size())));
+  const auto put = [&key](std::int64_t value) {
+    char bytes[sizeof value];
+    std::memcpy(bytes, &value, sizeof value);
+    key.append(bytes, sizeof value);
+  };
+  put(candidate.mtf);
+  put(static_cast<std::int64_t>(candidate.requirements.size()));
+  for (const ScheduleRequirement& r : candidate.requirements) {
+    put(r.partition.value());
+    put(r.period);
+    put(r.duration);
+  }
+  for (const Window& w : candidate.windows) {
+    put(w.partition.value());
+    put(w.offset);
+    put(w.duration);
+  }
+  return key;
+}
+
+/// Approximate heap footprint of one cached PartitionSupply, as this stat
+/// has always counted it: a byte plus a prefix and an sbf entry per tick of
+/// the MTF. The rank and inverse tables (2A+1 more Ticks, A <= MTF) are
+/// left out so that CacheStats::bytes stays comparable with earlier runs.
 [[nodiscard]] std::size_t supply_bytes(Ticks mtf) {
   const auto n = static_cast<std::size_t>(mtf);
   return n * sizeof(char) + 2 * (n + 1) * sizeof(Ticks);
@@ -103,28 +134,38 @@ std::string BatchVerdict::to_ndjson() const {
   return line;
 }
 
+/// One distinct PST: every candidate with the same (mtf, requirements,
+/// windows) shares it. Written once by the lane building it; the supply
+/// indices are resolved later in the serial interning phase.
+struct BatchAnalyzer::Pst {
+  std::optional<Schedule> schedule;  // nullopt = infeasible
+  std::string binding;               // the infeasible binding
+  double utilisation{0.0};           // of the schedule, when feasible
+  /// Supply-cache index per schedule requirement; kUnresolved until some
+  /// candidate first analyses that partition.
+  std::vector<std::size_t> supply_index;
+};
+
 /// Per-candidate working state. Written only by the lane owning the
 /// candidate's index; read across phases after a pool barrier.
 struct BatchAnalyzer::Slot {
-  std::optional<Schedule> schedule;
-  std::vector<const PartitionModel*> parts;   // analysable partitions
-  std::vector<std::size_t> supply_index;      // parallel to parts (memoised)
+  std::size_t pst{0};  // into psts_
+  /// Analysable partitions, each with the index of its requirement in the
+  /// PST (and so of its entry in Pst::supply_index).
+  std::vector<std::pair<const PartitionModel*, std::size_t>> parts;
   BatchVerdict verdict;
-  bool done{false};  // verdict settled in prepare() (infeasible)
 };
 
 BatchAnalyzer::BatchAnalyzer(BatchOptions options)
     : options_(options), pool_(pool_threads(options.workers)) {}
 
-void BatchAnalyzer::prepare(const Candidate& candidate, Slot& slot) const {
-  slot.verdict.id = candidate.id;
-  slot.verdict.name = candidate.name;
+BatchAnalyzer::~BatchAnalyzer() = default;
 
-  const auto infeasible = [&](std::string binding) {
-    slot.verdict.verdict = Verdict::kInfeasible;
-    slot.verdict.binding = std::move(binding);
-    slot.verdict.worst_wcrt = 0;
-    slot.done = true;
+BatchAnalyzer::Pst BatchAnalyzer::build_pst(const Candidate& candidate) {
+  Pst pst;
+  const auto infeasible = [&pst](std::string binding) {
+    pst.binding = std::move(binding);
+    return std::move(pst);
   };
 
   if (candidate.windows.empty()) {
@@ -155,15 +196,13 @@ void BatchAnalyzer::prepare(const Candidate& candidate, Slot& slot) const {
     GeneratorInput input;
     input.requirements = candidate.requirements;
     input.mtf = candidate.mtf;
-    input.name = candidate.name.empty() ? "generated" : candidate.name;
-    slot.schedule = generate_schedule(input);
-    if (!slot.schedule.has_value()) {
+    pst.schedule = generate_schedule(input);
+    if (!pst.schedule.has_value()) {
       return infeasible("eq. (23): EDF found no feasible window layout");
     }
   } else {
     Schedule schedule;
     schedule.id = ScheduleId{0};
-    schedule.name = candidate.name;
     schedule.mtf = candidate.mtf > 0
                        ? candidate.mtf
                        : lcm_of_periods(candidate.requirements);
@@ -181,34 +220,53 @@ void BatchAnalyzer::prepare(const Candidate& candidate, Slot& slot) const {
     if (!report.ok()) {
       return infeasible(std::string{binding_for(report.violations[0].kind)});
     }
-    slot.schedule = std::move(schedule);
+    pst.schedule = std::move(schedule);
   }
 
-  slot.verdict.utilisation = slot.schedule->utilisation();
+  pst.utilisation = pst.schedule->utilisation();
+  pst.supply_index.assign(pst.schedule->requirements.size(), kUnresolved);
+  return pst;
+}
+
+void BatchAnalyzer::bind(const Candidate& candidate, Slot& slot) const {
+  BatchVerdict& v = slot.verdict;
+  v.id = candidate.id;
+  v.name = candidate.name;
+  const Pst& pst = psts_[slot.pst];
+  if (!pst.schedule.has_value()) {
+    v.verdict = Verdict::kInfeasible;
+    v.binding = pst.binding;
+    return;
+  }
+  v.utilisation = pst.utilisation;
+  const std::vector<ScheduleRequirement>& reqs = pst.schedule->requirements;
   for (const PartitionModel& pm : candidate.partitions) {
-    if (slot.schedule->requirement_for(pm.id) != nullptr) {
-      slot.parts.push_back(&pm);
+    if (const ScheduleRequirement* req = pst.schedule->requirement_for(pm.id)) {
+      slot.parts.emplace_back(&pm,
+                              static_cast<std::size_t>(req - reqs.data()));
     }
   }
 }
 
-void BatchAnalyzer::finish(const Candidate& candidate, Slot& slot) const {
-  AIR_ASSERT(slot.schedule.has_value());
+void BatchAnalyzer::finish(Slot& slot) const {
+  const Pst& pst = psts_[slot.pst];
+  AIR_ASSERT(pst.schedule.has_value());
+  const Schedule& schedule = *pst.schedule;
   BatchVerdict& v = slot.verdict;
   v.verdict = Verdict::kSchedulable;
   v.binding = "eq. (14): wcrt <= D for every process";
   v.worst_wcrt = 0;
 
-  for (std::size_t k = 0; k < slot.parts.size(); ++k) {
-    const PartitionModel& pm = *slot.parts[k];
+  for (const auto& [pm, req] : slot.parts) {
     PartitionAnalysis pa;
     if (options_.memoise) {
-      const PartitionSupply* supply = supplies_[slot.supply_index[k]].get();
+      const PartitionSupply* supply =
+          supplies_[pst.supply_index[req]].get();
       AIR_ASSERT(supply != nullptr);
-      pa = analyze_partition(*slot.schedule, pm, *supply, options_.analysis);
+      pa = analyze_partition(schedule, *pm, *supply, options_.analysis);
     } else {
-      const PartitionSupply supply(*slot.schedule, pm.id);
-      pa = analyze_partition(*slot.schedule, pm, supply, options_.analysis);
+      const PartitionSupply supply(schedule, pm->id);
+      pa = analyze_partition(schedule, *pm, supply, options_.analysis);
     }
     if (!pa.schedulable && v.verdict == Verdict::kSchedulable) {
       v.verdict = Verdict::kUnschedulable;
@@ -227,7 +285,6 @@ void BatchAnalyzer::finish(const Candidate& candidate, Slot& slot) const {
     }
     v.partitions.push_back(std::move(pa));
   }
-  (void)candidate;
 }
 
 std::vector<BatchVerdict> BatchAnalyzer::analyze(
@@ -235,55 +292,83 @@ std::vector<BatchVerdict> BatchAnalyzer::analyze(
   const std::size_t n = candidates.size();
   std::vector<Slot> slots(n);
 
-  // Phase 1 (parallel): PST construction/validation per candidate.
-  pool_.run(n, [&](std::size_t i) { prepare(candidates[i], slots[i]); });
+  // Phase 1 (serial): intern PST keys in candidate order; the first
+  // candidate naming a new key is the one its entry is built from. Without
+  // memoisation every candidate gets an entry of its own for this call.
+  const std::size_t first_new = psts_.size();
+  std::vector<std::size_t> builders;  // candidate index per new entry
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t index = psts_.size();
+    if (options_.memoise) {
+      index = psts_memo_.try_emplace(pst_key(candidates[i]), index)
+                  .first->second;
+    }
+    if (index == psts_.size()) {
+      psts_.emplace_back();
+      builders.push_back(i);
+    }
+    slots[i].pst = index;
+  }
+  stats_.psts_built += builders.size();
 
-  // Phase 2 (serial): intern canonical window-set keys in candidate order.
-  // Serialising the *interning* (cheap string work) is what makes hit/miss
-  // counts and table identity independent of the worker count; the O(MTF*W)
-  // table constructions stay parallel in phase 3.
+  // Phase 2 (parallel): generate or validate each new PST, one per lane.
+  pool_.run(builders.size(), [&](std::size_t b) {
+    psts_[first_new + b] = build_pst(candidates[builders[b]]);
+  });
+
+  // Phase 3 (parallel): bind each candidate to its PST.
+  pool_.run(n, [&](std::size_t i) { bind(candidates[i], slots[i]); });
+
+  // Phase 4 (serial): intern canonical window-set keys in candidate order.
+  // Serialising the *interning* is what makes hit/miss counts and table
+  // identity independent of the worker count. Each PST computes the key of
+  // a partition once; later candidates on it reuse the resolved index,
+  // which is a hit because the key is already cached. The O(MTF*W) table
+  // constructions stay parallel in phase 5.
   struct Build {
-    std::size_t cand;
-    std::size_t part;
+    std::size_t pst;
+    PartitionId partition;
     std::size_t index;  // into supplies_
   };
   std::vector<Build> builds;
   if (options_.memoise) {
-    for (std::size_t i = 0; i < n; ++i) {
-      Slot& slot = slots[i];
-      if (slot.done) continue;
-      slot.supply_index.resize(slot.parts.size());
-      for (std::size_t k = 0; k < slot.parts.size(); ++k) {
+    for (const Slot& slot : slots) {
+      Pst& pst = psts_[slot.pst];
+      for (const auto& [pm, req] : slot.parts) {
         ++stats_.cache.lookups;
-        std::string key = supply_key(*slot.schedule, slot.parts[k]->id);
-        const auto [it, inserted] =
-            cache_.try_emplace(std::move(key), supplies_.size());
+        std::size_t& index = pst.supply_index[req];
+        if (index != kUnresolved) {
+          ++stats_.cache.hits;
+          continue;
+        }
+        const auto [it, inserted] = cache_.try_emplace(
+            supply_key(*pst.schedule, pm->id), supplies_.size());
         if (inserted) {
           supplies_.emplace_back(nullptr);
-          builds.push_back({i, k, it->second});
+          builds.push_back({slot.pst, pm->id, it->second});
           ++stats_.cache.misses;
-          stats_.cache.bytes += supply_bytes(slot.schedule->mtf);
+          stats_.cache.bytes += supply_bytes(pst.schedule->mtf);
         } else {
           ++stats_.cache.hits;
         }
-        slot.supply_index[k] = it->second;
+        index = it->second;
       }
     }
     stats_.cache.entries = supplies_.size();
 
-    // Phase 3 (parallel): build the missing sbf tables, one lane per table.
+    // Phase 5 (parallel): build the missing sbf tables, one lane per table.
     pool_.run(builds.size(), [&](std::size_t b) {
       const Build& build = builds[b];
-      const Slot& slot = slots[build.cand];
       supplies_[build.index] = std::make_unique<const PartitionSupply>(
-          *slot.schedule, slot.parts[build.part]->id);
+          *psts_[build.pst].schedule, build.partition);
     });
   }
 
-  // Phase 4 (parallel): per-candidate response-time analyses.
+  // Phase 6 (parallel): per-candidate response-time analyses.
   pool_.run(n, [&](std::size_t i) {
-    if (!slots[i].done) finish(candidates[i], slots[i]);
+    if (psts_[slots[i].pst].schedule.has_value()) finish(slots[i]);
   });
+  if (!options_.memoise) psts_.clear();
 
   std::vector<BatchVerdict> verdicts;
   verdicts.reserve(n);

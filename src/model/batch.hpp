@@ -8,21 +8,39 @@
 // schedulable / unschedulable / infeasible, each verdict citing the binding
 // equation.
 //
-// Two mechanisms carry the throughput (BENCH_schedulability.json):
+// Three mechanisms carry the throughput (BENCH_schedulability.json):
 //
-//  - Memoisation. The repeated cost is PartitionSupply construction --
-//    an O(MTF*W) sbf tabulation per (window set, partition), W the
-//    partition's window count. Candidate streams share window designs
-//    heavily (an integrator explores process placements under few PSTs),
-//    so supplies are interned in a cache keyed by the canonicalised
-//    window set, with hit/miss Stats mirroring util::StringArena::Stats.
+//  - PST memo. Candidate streams share requirement sets heavily (an
+//    integrator explores process placements under few window designs), so
+//    each distinct PST -- keyed by the raw integers of (mtf, requirements,
+//    windows), never the candidate name -- is generated or validated once
+//    per analyzer. A candidate points at its entry, which holds the
+//    Schedule or the infeasible binding, the utilisation and each
+//    partition's supply-cache index. Stats::psts_built counts the builds.
+//
+//  - Supply cache. The next repeated cost is PartitionSupply construction
+//    -- an O(MTF*W) sbf tabulation per (window set, partition), W the
+//    partition's window count -- so supplies are interned in a cache keyed
+//    by the canonicalised window set, with hit/miss Stats mirroring
+//    util::StringArena::Stats. Distinct PSTs can still share a table.
 //
 //  - Fan-out. Per-candidate analyses are independent, so they run over a
 //    util::WorkerPool (the World's epoch-executor machinery). Determinism
-//    contract: the verdict stream and the cache stats are byte-identical
-//    for any worker count -- results land in pre-assigned slots and cache
-//    population is two-phase (serial key interning, parallel table
-//    construction), so no outcome ever depends on thread interleaving.
+//    contract: the verdict stream and the stats are byte-identical for any
+//    worker count. Results land in pre-assigned slots, and analyze() runs
+//    in phases separated by pool barriers:
+//      1. serial: intern PST keys in candidate order;
+//      2. parallel: build the new PSTs;
+//      3. parallel: bind each candidate to its PST;
+//      4. serial: intern supply keys in candidate order;
+//      5. parallel: build the new sbf tables;
+//      6. parallel: response-time analysis per candidate.
+//    Every memo and cache write happens in a serial phase or in an entry
+//    that only one lane owns, so no outcome depends on thread interleaving.
+//
+// With memoise off, both the memo and the supply cache are skipped: every
+// candidate builds its own PST and tables, the independent reference the
+// memoised path must reproduce byte for byte.
 //
 // The loop is closed by src/system/flight_validate.hpp: accepted PSTs are
 // actually flown in the simulator and the differential oracle asserts
@@ -90,8 +108,9 @@ struct BatchOptions {
   /// Worker lanes, World::set_workers() semantics: 1 = inline on the
   /// caller, N = up to N concurrent lanes, 0 = one per hardware thread.
   std::size_t workers{1};
-  /// Intern PartitionSupply tables by canonical window set. Off = the
-  /// one-at-a-time baseline the bench compares against.
+  /// Build each distinct PST once and intern PartitionSupply tables by
+  /// canonical window set. Off = the one-at-a-time baseline the bench
+  /// compares against.
   bool memoise{true};
   AnalysisOptions analysis{Phasing::kMtfAligned, 0};
 };
@@ -99,10 +118,11 @@ struct BatchOptions {
 class BatchAnalyzer {
  public:
   explicit BatchAnalyzer(BatchOptions options = {});
+  ~BatchAnalyzer();
 
   /// Analyse a batch; verdicts are index-aligned with `candidates`. May be
-  /// called repeatedly (daemon mode): the supply cache and the running
-  /// totals persist across calls.
+  /// called repeatedly (daemon mode): the PST memo, the supply cache and
+  /// the running totals persist across calls.
   [[nodiscard]] std::vector<BatchVerdict> analyze(
       const std::vector<Candidate>& candidates);
 
@@ -118,6 +138,9 @@ class BatchAnalyzer {
     std::uint64_t schedulable{0};
     std::uint64_t unschedulable{0};
     std::uint64_t infeasible{0};
+    /// PSTs generated or validated: one per distinct (mtf, requirements,
+    /// windows) when memoising, one per candidate otherwise.
+    std::uint64_t psts_built{0};
     CacheStats cache;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -128,17 +151,24 @@ class BatchAnalyzer {
   void publish(telemetry::MetricsRegistry& registry) const;
 
  private:
+  struct Pst;   // one memoised PST and its supply indices (batch.cpp)
   struct Slot;  // per-candidate working state (batch.cpp)
+  static constexpr std::size_t kUnresolved = static_cast<std::size_t>(-1);
 
-  void prepare(const Candidate& candidate, Slot& slot) const;
-  void finish(const Candidate& candidate, Slot& slot) const;
+  [[nodiscard]] static Pst build_pst(const Candidate& candidate);
+  void bind(const Candidate& candidate, Slot& slot) const;
+  void finish(Slot& slot) const;
 
   BatchOptions options_;
   util::WorkerPool pool_;
   Stats stats_;
-  // Canonical window-set key -> index into supplies_. Population is
-  // two-phase per analyze() call, so reads during the parallel phases need
-  // no lock and stats are exact for any worker count.
+  // Both maps are written only in analyze()'s serial phases (see the
+  // header comment), so the parallel phases read them without a lock.
+  // Raw (mtf, requirements, windows) key -> index into psts_. Unused, and
+  // psts_ emptied after each call, when options_.memoise is off.
+  std::unordered_map<std::string, std::size_t> psts_memo_;
+  std::vector<Pst> psts_;
+  // Canonical window-set key -> index into supplies_.
   std::unordered_map<std::string, std::size_t> cache_;
   std::vector<std::unique_ptr<const PartitionSupply>> supplies_;
 };

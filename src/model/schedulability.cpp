@@ -11,21 +11,21 @@ PartitionSupply::PartitionSupply(const Schedule& schedule,
                                  PartitionId partition)
     : mtf_(schedule.mtf) {
   AIR_ASSERT(mtf_ > 0);
-  available_.assign(static_cast<std::size_t>(mtf_), 0);
+  std::vector<char> available(static_cast<std::size_t>(mtf_), 0);
   for (const Window& w : schedule.windows) {
     if (w.partition != partition) continue;
     AIR_ASSERT_MSG(w.offset >= 0, "window offset must not be negative");
     AIR_ASSERT_MSG(w.duration >= 0, "window duration must not be negative");
     for (Ticks t = w.offset; t < w.offset + w.duration && t < mtf_; ++t) {
-      available_[static_cast<std::size_t>(t)] = 1;
+      available[static_cast<std::size_t>(t)] = 1;
     }
   }
 
   prefix_.assign(static_cast<std::size_t>(mtf_) + 1, 0);
   for (Ticks t = 0; t < mtf_; ++t) {
-    prefix_[static_cast<std::size_t>(t) + 1] =
-        prefix_[static_cast<std::size_t>(t)] +
-        available_[static_cast<std::size_t>(t)];
+    const auto i = static_cast<std::size_t>(t);
+    prefix_[i + 1] = prefix_[i] + available[i];
+    if (available[i] != 0) tick_of_rank_.push_back(t);
   }
   per_mtf_ = prefix_[static_cast<std::size_t>(mtf_)];
 
@@ -34,17 +34,35 @@ PartitionSupply::PartitionSupply(const Schedule& schedule,
   std::vector<Ticks> gap_starts;
   for (Ticks t = 0; t < mtf_; ++t) {
     const Ticks before = t == 0 ? mtf_ - 1 : t - 1;
-    if (available_[static_cast<std::size_t>(t)] == 0 &&
-        available_[static_cast<std::size_t>(before)] == 1) {
+    if (available[static_cast<std::size_t>(t)] == 0 &&
+        available[static_cast<std::size_t>(before)] == 1) {
       gap_starts.push_back(t);
     }
   }
   if (gap_starts.empty()) gap_starts.push_back(0);  // always or never free
+  // supply(g, len) for g < MTF and len <= MTF: the interval wraps past the
+  // MTF end at most once, so it needs none of supply()'s divisions.
+  const auto from_gap = [this](Ticks g, Ticks len) {
+    const Ticks end = g + len;
+    const Ticks upto =
+        end <= mtf_ ? prefix_[static_cast<std::size_t>(end)]
+                    : per_mtf_ + prefix_[static_cast<std::size_t>(end - mtf_)];
+    return upto - prefix_[static_cast<std::size_t>(g)];
+  };
   sbf_table_.assign(static_cast<std::size_t>(mtf_) + 1, 0);
+  inverse_sbf_table_.assign(static_cast<std::size_t>(per_mtf_) + 1, 0);
   for (Ticks len = 1; len <= mtf_; ++len) {
+    const auto i = static_cast<std::size_t>(len);
     Ticks least = len;  // supply can never exceed the interval length
-    for (const Ticks g : gap_starts) least = std::min(least, supply(g, len));
-    sbf_table_[static_cast<std::size_t>(len)] = least;
+    for (const Ticks g : gap_starts) {
+      least = std::min(least, from_gap(g, len));
+    }
+    sbf_table_[i] = least;
+    // sbf is non-decreasing and steps by at most one, so the first length
+    // at which it rises is the least one reaching the new value.
+    if (least > sbf_table_[i - 1]) {
+      inverse_sbf_table_[static_cast<std::size_t>(least)] = len;
+    }
   }
 }
 
@@ -69,35 +87,23 @@ Ticks PartitionSupply::sbf(Ticks len) const {
 Ticks PartitionSupply::inverse_sbf(Ticks demand) const {
   if (demand <= 0) return 0;
   if (per_mtf_ <= 0) return kInfiniteTime;
-  // sbf is non-decreasing; binary search over a bracket guaranteed to
-  // contain the answer: demand needs at most ceil(demand/A)+1 MTFs.
-  Ticks hi = ((demand + per_mtf_ - 1) / per_mtf_ + 1) * mtf_;
-  Ticks lo = 0;
-  while (lo < hi) {
-    const Ticks mid = lo + (hi - lo) / 2;
-    if (sbf(mid) >= demand) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
+  // sbf(q*MTF + r) = q*A + sbf(r): whole MTFs supply the first q*A ticks,
+  // and the table finds the rest, 1..A, within the next MTF.
+  const Ticks q = (demand - 1) / per_mtf_;
+  return q * mtf_ +
+         inverse_sbf_table_[static_cast<std::size_t>(demand - q * per_mtf_)];
 }
 
 Ticks PartitionSupply::inverse_supply_from(Ticks phase, Ticks demand) const {
   if (demand <= 0) return 0;
   if (per_mtf_ <= 0) return kInfiniteTime;
-  Ticks hi = ((demand + per_mtf_ - 1) / per_mtf_ + 1) * mtf_;
-  Ticks lo = 0;
-  while (lo < hi) {
-    const Ticks mid = lo + (hi - lo) / 2;
-    if (supply(phase, mid) >= demand) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
+  // The interval must end just past the available tick of rank
+  // supply(0, phase) + demand, counted over the periodic extension.
+  const Ticks rank = supply(0, phase) + demand - 1;  // 0-based
+  const Ticks q = rank / per_mtf_;
+  const Ticks tick =
+      q * mtf_ + tick_of_rank_[static_cast<std::size_t>(rank - q * per_mtf_)];
+  return tick + 1 - phase;
 }
 
 namespace {

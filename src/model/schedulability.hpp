@@ -32,12 +32,16 @@ class PartitionSupply {
   [[nodiscard]] Ticks sbf(Ticks len) const;
 
   /// Smallest interval length whose worst-case supply reaches `demand`;
-  /// kInfiniteTime when the partition has no window time at all.
+  /// kInfiniteTime when the partition has no window time at all. O(1):
+  /// with q = (demand-1)/A, the answer is q*MTF plus the tabulated inverse
+  /// of sbf over one MTF for the remaining demand in 1..A.
   [[nodiscard]] Ticks inverse_sbf(Ticks demand) const;
 
   /// Smallest interval length starting at absolute phase `phase` whose
   /// supply reaches `demand` (phase-aware variant used by the MTF-aligned
-  /// analysis); kInfiniteTime when unreachable.
+  /// analysis); kInfiniteTime when unreachable. O(1): the interval ends
+  /// just past the (supply(0, phase) + demand)-th available tick, read
+  /// from the rank table under periodic extension.
   [[nodiscard]] Ticks inverse_supply_from(Ticks phase, Ticks demand) const;
 
   /// Partition time per MTF (the A above).
@@ -47,9 +51,13 @@ class PartitionSupply {
  private:
   Ticks mtf_{0};
   Ticks per_mtf_{0};
-  std::vector<char> available_;   // one flag per tick of the MTF
   std::vector<Ticks> prefix_;     // prefix_[t] = supply in [0, t)
   std::vector<Ticks> sbf_table_;  // sbf for len in [0, MTF]
+  // tick_of_rank_[k] = the k-th available tick of the MTF, k in [0, A).
+  std::vector<Ticks> tick_of_rank_;
+  // inverse_sbf_table_[d] = least len in [1, MTF] with sbf(len) >= d, for
+  // d in [1, A]; entry 0 is unused.
+  std::vector<Ticks> inverse_sbf_table_;
 };
 
 struct ProcessAnalysis {

@@ -96,8 +96,17 @@ class Parser {
   bool parse_value(Value& out) {
     if (at_end()) return fail("unexpected end of input");
     switch (peek()) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          return fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                      " levels");
+        }
+        ++depth_;
+        const bool ok = peek() == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"': return parse_string_value(out);
       case 't': return parse_literal("true", Value{true}, out);
       case 'f': return parse_literal("false", Value{false}, out);
@@ -323,6 +332,7 @@ class Parser {
   std::size_t pos_{0};
   int line_{1};
   int column_{1};
+  int depth_{0};  // open arrays and objects around the current value
   std::optional<ParseError> error_;
 };
 

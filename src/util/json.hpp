@@ -91,6 +91,11 @@ struct ParseResult {
   [[nodiscard]] bool ok() const { return value.has_value(); }
 };
 
+/// Deepest nesting of arrays and objects parse() accepts. The parser
+/// recurses once per level, so a deeper document is a ParseError rather
+/// than a stack overflow.
+inline constexpr int kMaxDepth = 256;
+
 /// Parse a complete JSON document. Trailing garbage is an error.
 [[nodiscard]] ParseResult parse(std::string_view text);
 

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -150,6 +151,130 @@ TEST(BatchAnalyzer, CachePersistsAcrossBatches) {
   EXPECT_EQ(analyzer.stats().analyzed, 2 * candidates.size());
 }
 
+model::PartitionModel one_process(int partition, Ticks period,
+                                  Ticks deadline, Ticks wcet) {
+  model::PartitionModel pm;
+  pm.id = PartitionId{partition};
+  pm.name = "P" + std::to_string(partition);
+  pm.processes.push_back({"q0", period, deadline, 10, wcet, true});
+  return pm;
+}
+
+TEST(BatchAnalyzer, CandidatesSharingAPstKeepTheirOwnIdAndName) {
+  // Same requirement set, different ids, names and process sets: one PST,
+  // three verdicts that must not leak into each other.
+  const std::vector<model::ScheduleRequirement> reqs = {
+      {PartitionId{0}, 100, 40}, {PartitionId{1}, 100, 30}};
+  std::vector<model::Candidate> candidates(3);
+  const Ticks wcets[] = {5, 80, 20};
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    model::Candidate& c = candidates[i];
+    c.id = 100 + i;
+    c.name = "shared-" + std::to_string(i);
+    c.requirements = reqs;
+    c.partitions.push_back(one_process(0, 100, 100, wcets[i]));
+  }
+  candidates[2].partitions.push_back(one_process(1, 100, 100, 10));
+
+  model::BatchAnalyzer analyzer;
+  const auto verdicts = analyzer.analyze(candidates);
+  ASSERT_EQ(verdicts.size(), 3u);
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
+    EXPECT_EQ(verdicts[i].id, candidates[i].id);
+    EXPECT_EQ(verdicts[i].name, candidates[i].name);
+    EXPECT_EQ(verdicts[i].partitions.size(),
+              candidates[i].partitions.size());
+  }
+  EXPECT_EQ(verdicts[0].verdict, model::Verdict::kSchedulable);
+  EXPECT_EQ(verdicts[1].verdict, model::Verdict::kUnschedulable);
+  EXPECT_TRUE(verdicts[1].definite);
+  EXPECT_EQ(verdicts[2].verdict, model::Verdict::kSchedulable);
+  EXPECT_EQ(analyzer.stats().psts_built, 1u);
+
+  model::BatchOptions bare;
+  bare.memoise = false;
+  model::BatchAnalyzer unmemoised(bare);
+  EXPECT_EQ(verdict_stream(unmemoised.analyze(candidates)),
+            verdict_stream(verdicts));
+  EXPECT_EQ(unmemoised.stats().psts_built, candidates.size());
+}
+
+TEST(BatchAnalyzer, ExplicitWindowsWithEqualRequirementsAreNotMerged) {
+  // Equal MTF and requirements; only the window layout differs. Under
+  // MTF-aligned phasing a job released at 0 with deadline 50 meets it in
+  // an early window and misses it in a late one.
+  model::Candidate early;
+  early.id = 1;
+  early.name = "early";
+  early.mtf = 100;
+  early.requirements = {{PartitionId{0}, 100, 40},
+                        {PartitionId{1}, 100, 40}};
+  early.windows = {{PartitionId{0}, 0, 40}, {PartitionId{1}, 50, 40}};
+  early.partitions.push_back(one_process(0, 100, 50, 30));
+  model::Candidate late = early;
+  late.id = 2;
+  late.name = "late";
+  late.windows = {{PartitionId{1}, 0, 40}, {PartitionId{0}, 60, 40}};
+
+  model::BatchAnalyzer analyzer;
+  const auto verdicts = analyzer.analyze({early, late});
+  ASSERT_EQ(verdicts.size(), 2u);
+  EXPECT_EQ(verdicts[0].verdict, model::Verdict::kSchedulable);
+  EXPECT_EQ(verdicts[0].worst_wcrt, 30);
+  EXPECT_EQ(verdicts[1].verdict, model::Verdict::kUnschedulable);
+  EXPECT_EQ(verdicts[1].worst_wcrt, -1) << "the late window ends past D";
+  EXPECT_EQ(analyzer.stats().psts_built, 2u);
+}
+
+TEST(BatchAnalyzer, EveryCandidateOnAnInfeasibleSetCitesTheSameBinding) {
+  std::vector<model::Candidate> candidates;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    model::Candidate c;
+    c.id = i;
+    c.name = "over-" + std::to_string(i);
+    c.requirements = {{PartitionId{0}, 100, 80}, {PartitionId{1}, 100, 40}};
+    c.partitions.push_back(one_process(0, 100, 100, 5 + 5 * i));
+    candidates.push_back(std::move(c));
+  }
+  model::BatchAnalyzer analyzer;
+  const auto verdicts = analyzer.analyze(candidates);
+  ASSERT_EQ(verdicts.size(), candidates.size());
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
+    EXPECT_EQ(verdicts[i].name, candidates[i].name);
+    EXPECT_EQ(verdicts[i].verdict, model::Verdict::kInfeasible);
+    EXPECT_EQ(verdicts[i].binding, "eq. (8): total utilisation exceeds 1");
+  }
+  EXPECT_EQ(analyzer.stats().psts_built, 1u);
+  EXPECT_EQ(analyzer.stats().infeasible, candidates.size());
+}
+
+TEST(BatchAnalyzer, BuildsOnePstPerDistinctRequirementSet) {
+  const auto candidates = model::generate_candidates(small_spec());
+  std::set<std::vector<Ticks>> distinct;
+  for (const model::Candidate& c : candidates) {
+    ASSERT_TRUE(c.windows.empty());
+    std::vector<Ticks> key{c.mtf};
+    for (const auto& r : c.requirements) {
+      key.insert(key.end(), {r.partition.value(), r.period, r.duration});
+    }
+    distinct.insert(std::move(key));
+  }
+  ASSERT_LT(distinct.size(), candidates.size());
+
+  model::BatchAnalyzer analyzer;
+  (void)analyzer.analyze(candidates);
+  EXPECT_EQ(analyzer.stats().psts_built, distinct.size());
+  (void)analyzer.analyze(candidates);
+  EXPECT_EQ(analyzer.stats().psts_built, distinct.size())
+      << "the memo persists across batches";
+
+  model::BatchOptions bare;
+  bare.memoise = false;
+  model::BatchAnalyzer unmemoised(bare);
+  (void)unmemoised.analyze(candidates);
+  EXPECT_EQ(unmemoised.stats().psts_built, candidates.size());
+}
+
 TEST(BatchAnalyzer, InfeasibleCandidatesCiteTheBindingEquation) {
   // Over-utilised requirement set: eq. (8).
   model::Candidate over;
@@ -269,6 +394,20 @@ TEST(CandidateCodec, MalformedLinesAreReportedNotFatal) {
   EXPECT_NE(stream.errors[0].find("line 2"), std::string::npos);
   EXPECT_NE(stream.errors[1].find("line 3"), std::string::npos)
       << "missing requirements must be an error";
+}
+
+TEST(CandidateCodec, DeeplyNestedLineIsMalformedNotACrash) {
+  const std::string deep(200000, '[');
+  const auto stream = config::parse_candidates(
+      deep + "\n"
+      "{\"id\":1,\"requirements\":[{\"partition\":0,\"period\":100,"
+      "\"duration\":10}],\"partitions\":[]}\n");
+  ASSERT_EQ(stream.errors.size(), 1u);
+  EXPECT_NE(stream.errors[0].find("line 1"), std::string::npos)
+      << stream.errors[0];
+  EXPECT_NE(stream.errors[0].find("nesting"), std::string::npos)
+      << stream.errors[0];
+  EXPECT_EQ(stream.candidates.size(), 1u) << "the next line still parses";
 }
 
 TEST(DifferentialValidation, OracleHoldsOver500GeneratedConfigs) {

@@ -7,7 +7,8 @@
 //     buys at most one tick of supply);
 //   - MTF additivity, the property the tabulation relies on:
 //       sbf(q*MTF + r) == q*A + sbf(r),  A = partition time per MTF;
-//   - inverse_sbf is the exact lower inverse of sbf: the returned length
+//   - inverse_sbf is the exact lower inverse of sbf, and
+//     inverse_supply_from of supply from every phase: the returned length
 //     reaches the demand and no shorter length does;
 //   - the phase-free sbf lower-bounds every phase-aware supply (and the
 //     phase-aware inverse never waits longer than the phase-free one) --
@@ -15,7 +16,9 @@
 //
 // The table itself is checked against a brute-force reference that takes
 // the least supply over *every* start phase, on seeded random window sets
-// and on the edge shapes the gap-start scan must get right.
+// and on the edge shapes the gap-start scan must get right; the O(1)
+// inverses are checked against the binary searches they replaced on the
+// same edge shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -100,6 +103,27 @@ TEST_P(SbfProperties, InverseSbfIsTheExactLowerInverse) {
       ASSERT_GT(t, 0) << "demand " << demand;
       EXPECT_LT(supply.sbf(t - 1), demand)
           << "demand " << demand << ": not the smallest such length";
+    }
+  }
+}
+
+TEST_P(SbfProperties, InverseSupplyFromIsTheExactLowerInverse) {
+  const std::uint64_t seed = GetParam();
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  const model::Schedule schedule = random_schedule(seed);
+  for (const auto& req : schedule.requirements) {
+    const model::PartitionSupply supply(schedule, req.partition);
+    ASSERT_GT(supply.per_mtf(), 0);
+    for (Ticks phase = 0; phase < schedule.mtf; ++phase) {
+      for (Ticks demand = 1; demand <= 2 * supply.per_mtf() + 3; ++demand) {
+        const Ticks t = supply.inverse_supply_from(phase, demand);
+        ASSERT_GT(t, 0) << "phase " << phase << " demand " << demand;
+        ASSERT_GE(supply.supply(phase, t), demand)
+            << "phase " << phase << " demand " << demand;
+        ASSERT_LT(supply.supply(phase, t - 1), demand)
+            << "phase " << phase << " demand " << demand
+            << ": not the smallest such length";
+      }
     }
   }
 }
@@ -212,6 +236,72 @@ TEST(SbfTable, MatchesBruteForceOnRandomWindowSets) {
     }
     expect_matches_brute_force(shaped(mtf, std::move(windows)), PartitionId{0});
   }
+}
+
+/// Smallest length in [0, bracket] for which `reaches` holds -- the binary
+/// search the O(1) inverses replaced, kept as their reference.
+template <class Reaches>
+Ticks bisect_inverse(const model::PartitionSupply& supply, Ticks demand,
+                     Reaches reaches) {
+  if (demand <= 0) return 0;
+  if (supply.per_mtf() <= 0) return kInfiniteTime;
+  Ticks lo = 0;
+  Ticks hi = ((demand + supply.per_mtf() - 1) / supply.per_mtf() + 1) *
+             supply.mtf();
+  while (lo < hi) {
+    const Ticks mid = lo + (hi - lo) / 2;
+    if (reaches(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+TEST(SbfTable, InversesMatchBinarySearchOnEdgeShapes) {
+  const PartitionId p0{0};
+  const PartitionId p1{1};
+  struct Case {
+    const char* name;
+    model::Schedule schedule;
+  };
+  const Case cases[] = {
+      {"no window for the partition", shaped(40, {{p1, 0, 20}})},
+      {"windows cover the MTF", shaped(40, {{p0, 0, 40}})},
+      {"one-tick MTF, covered", shaped(1, {{p0, 0, 1}})},
+      {"single-tick windows",
+       shaped(40, {{p0, 3, 1}, {p0, 17, 1}, {p1, 20, 5}, {p0, 39, 1}})},
+      {"run wraps past the MTF end",
+       shaped(50, {{p0, 0, 4}, {p1, 10, 10}, {p0, 45, 5}})},
+      {"window truncated at the MTF",
+       shaped(30, {{p1, 0, 10}, {p0, 24, 20}})},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const model::PartitionSupply supply(c.schedule, p0);
+    const Ticks mtf = c.schedule.mtf;
+    for (Ticks demand = 0; demand <= 2 * supply.per_mtf() + 3; ++demand) {
+      ASSERT_EQ(supply.inverse_sbf(demand),
+                bisect_inverse(supply, demand,
+                               [&](Ticks len) {
+                                 return supply.sbf(len) >= demand;
+                               }))
+          << "demand " << demand;
+      for (Ticks phase = 0; phase < 2 * mtf; ++phase) {
+        ASSERT_EQ(supply.inverse_supply_from(phase, demand),
+                  bisect_inverse(supply, demand,
+                                 [&](Ticks len) {
+                                   return supply.supply(phase, len) >= demand;
+                                 }))
+            << "phase " << phase << " demand " << demand;
+      }
+    }
+  }
+  // No window time at all: every positive demand is unreachable.
+  const model::PartitionSupply none(shaped(40, {{p1, 0, 20}}), p0);
+  EXPECT_EQ(none.inverse_sbf(1), kInfiniteTime);
+  EXPECT_EQ(none.inverse_supply_from(7, 1), kInfiniteTime);
 }
 
 TEST(SbfTableDeathTest, NegativeWindowFieldsAreRejected) {

@@ -60,7 +60,9 @@ TEST(PartitionSupply, InverseSbfIsTheLeftInverse) {
     const Ticks len = supply.inverse_sbf(demand);
     ASSERT_NE(len, kInfiniteTime);
     EXPECT_GE(supply.sbf(len), demand);
-    if (len > 0) EXPECT_LT(supply.sbf(len - 1), demand);
+    if (len > 0) {
+      EXPECT_LT(supply.sbf(len - 1), demand);
+    }
   }
   EXPECT_EQ(supply.inverse_sbf(0), 0);
 }

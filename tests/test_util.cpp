@@ -234,6 +234,24 @@ TEST(Json, DumpRoundTrips) {
   EXPECT_EQ(reparsed.value->dump(), parsed.value->dump());
 }
 
+TEST(Json, NestingDepthIsBounded) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(util::json::parse(nested(util::json::kMaxDepth)).ok());
+  const auto too_deep = util::json::parse(nested(util::json::kMaxDepth + 1));
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_NE(too_deep.error->message.find("nesting"), std::string::npos)
+      << too_deep.error->message;
+  // Deep enough to overflow the stack of an unbounded recursive descent.
+  std::string objects;
+  for (int i = 0; i < 200000; ++i) objects += "{\"a\":";
+  const auto hostile = util::json::parse(objects);
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_EQ(hostile.error->column, util::json::kMaxDepth * 5 + 1);
+}
+
 TEST(Json, UnicodeEscapes) {
   const auto result = util::json::parse("\"A\\u00e9\"");
   ASSERT_TRUE(result.ok());

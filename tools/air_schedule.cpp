@@ -188,12 +188,14 @@ int main(int argc, char** argv) {
     const auto& s = analyzer.stats();
     std::fprintf(stderr,
                  "air-schedule: %llu configs (%llu schedulable, %llu "
-                 "unschedulable, %llu infeasible); supply cache: %llu "
-                 "lookups, %llu hits, %llu misses, %zu entries\n",
+                 "unschedulable, %llu infeasible); %llu PSTs built; "
+                 "supply cache: %llu lookups, %llu hits, %llu misses, "
+                 "%zu entries\n",
                  static_cast<unsigned long long>(s.analyzed),
                  static_cast<unsigned long long>(s.schedulable),
                  static_cast<unsigned long long>(s.unschedulable),
                  static_cast<unsigned long long>(s.infeasible),
+                 static_cast<unsigned long long>(s.psts_built),
                  static_cast<unsigned long long>(s.cache.lookups),
                  static_cast<unsigned long long>(s.cache.hits),
                  static_cast<unsigned long long>(s.cache.misses),
