@@ -1,13 +1,10 @@
-// World scaling: sequential (lockstep) vs epoch-parallel execution of a
-// multi-module world as the module count grows. Modules are busy (periodic
-// compute load in every partition window, telemetry on) and exchange light
-// sampling-ring traffic over the TDMA bus, so the epoch driver must win by
-// overlapping module execution, not by skipping idle time. The checked
-// figure is sim_ticks_per_second at 8 modules: parallel / lockstep >= 2 on
-// a multicore host (bench/check_world_scale.py; the JSON context's num_cpus
-// records the host parallelism for the gate). Rates are wall-time
-// (UseRealTime: the parallel driver's lanes run off the main thread), and
-// World construction and teardown stay outside the timed region.
+// World scaling: the per-tick lockstep driver (World::run_lockstep) vs the
+// sparse epoch driver (World::run) as the module count grows. Modules are
+// busy (periodic compute load in every partition window, telemetry on) and
+// exchange light sampling-ring traffic over the TDMA bus, so epochs stay
+// short and the comparison shows what the epoch bookkeeping costs where
+// there is little idle time to skip. Rates are wall-time, and World
+// construction and teardown stay outside the timed region.
 #include <benchmark/benchmark.h>
 
 #include "system/world.hpp"
@@ -91,16 +88,15 @@ std::unique_ptr<system::World> build_world(int nmodules) {
   return world;
 }
 
-void run_scaling(benchmark::State& state, bool parallel) {
+void run_scaling(benchmark::State& state, bool use_epochs) {
   const int nmodules = static_cast<int>(state.range(0));
   double sim_ticks = 0;
   double epochs = 0;
   for (auto _ : state) {
     state.PauseTiming();
     auto world = build_world(nmodules);
-    if (parallel) world->set_workers(0);  // one lane per hardware thread
     state.ResumeTiming();
-    if (parallel) {
+    if (use_epochs) {
       world->run(kTicks);
     } else {
       world->run_lockstep(kTicks);
@@ -114,23 +110,23 @@ void run_scaling(benchmark::State& state, bool parallel) {
   state.counters["sim_ticks_per_second"] =
       benchmark::Counter(sim_ticks, benchmark::Counter::kIsRate);
   state.counters["modules"] = benchmark::Counter(nmodules);
-  if (parallel && epochs > 0) {
+  if (use_epochs && epochs > 0) {
     state.counters["mean_epoch_ticks"] = benchmark::Counter(sim_ticks / epochs);
   }
 }
 
 void BM_WorldScale_Lockstep(benchmark::State& state) {
-  run_scaling(state, /*parallel=*/false);
+  run_scaling(state, /*use_epochs=*/false);
 }
 BENCHMARK(BM_WorldScale_Lockstep)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_WorldScale_Parallel(benchmark::State& state) {
-  run_scaling(state, /*parallel=*/true);
+void BM_WorldScale_Epoch(benchmark::State& state) {
+  run_scaling(state, /*use_epochs=*/true);
 }
-BENCHMARK(BM_WorldScale_Parallel)
+BENCHMARK(BM_WorldScale_Epoch)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

@@ -75,7 +75,6 @@ MissionArtifacts fly_mission(const CampaignOptions& options,
       {.slot_length = 10, .frames_per_slot = 2, .propagation_delay = 2});
   system::Module& prototype = world.add_module(std::move(fig8));
   system::Module& ground = world.add_module(campaign_ground_config());
-  world.set_workers(options.workers);
   // Bus plane with the same window as the module planes, so bus digests and
   // module digests close on the same boundaries.
   world.enable_online(prototype.config().telemetry.online);

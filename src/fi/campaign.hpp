@@ -31,7 +31,6 @@ struct CampaignOptions {
   Ticks mtfs{4};            // mission length, in Fig. 8 major time frames
   bool weaken_hm{false};    // fly the deliberately weakened configuration
   bool world_missions{true};  // include two-module bus missions
-  std::size_t workers{1};     // World worker lanes for world missions
   std::string out_dir;        // write reproducers here ("" = don't)
   bool verbose{false};
 };

@@ -11,7 +11,7 @@
 // Plans are plain data with a stable text form, so a failing campaign seed
 // can be written to disk, shrunk to a minimal reproducer and replayed
 // byte-identically by any driver (per-tick, time-warped, lockstep or
-// parallel World execution).
+// epoch World execution).
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,7 @@
 // planned injection at the end of its exact tick. Because the time-warp
 // engine bounds its spans by TickHook::next_event() and every World driver
 // funnels through tick_once(), an armed plan replays byte-identically under
-// per-tick, warped, lockstep and parallel execution.
+// per-tick, warped, lockstep and epoch execution.
 //
 // BusInjector is the bus-side half: planned frame faults keyed on the
 // deterministic TDMA transmit sequence number, installed as the Bus fault

@@ -6,9 +6,10 @@ namespace air::ipc {
 namespace {
 
 /// Free-list pool for heap payload blocks, bucketed by power-of-two
-/// capacity. Thread-local: the parallel World driver ticks modules on
-/// worker threads, and an unsynchronized global pool would race (blocks
-/// are plain bytes, so migrating between per-thread pools is harmless).
+/// capacity. Thread-local: modules of independent simulations may run on
+/// separate host threads, and an unsynchronized global pool would race
+/// (blocks are plain bytes, so migrating between per-thread pools is
+/// harmless).
 struct Pool {
   static constexpr std::size_t kMinCapacity = 128;       // first bucket
   static constexpr std::size_t kMaxPooled = 1u << 20;    // beyond: plain new

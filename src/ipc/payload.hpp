@@ -9,9 +9,10 @@
 // traffic) and services larger payloads from a power-of-two-bucketed
 // free-list pool: a heap block released by a dying message is recycled by
 // the next oversized message instead of round-tripping through the global
-// allocator. The pool is thread-local (the parallel World driver runs
-// modules on worker threads; blocks may migrate between pools, which is
-// safe -- they are plain byte arrays) and bounded per bucket.
+// allocator. The pool is thread-local, so independent simulations flown on
+// separate host threads never share it unsynchronized (blocks may migrate
+// between pools, which is safe -- they are plain byte arrays), and bounded
+// per bucket.
 //
 // Determinism: where a payload's bytes live never influences simulation
 // behaviour -- only the bytes themselves are observable (traces, digests,

@@ -41,6 +41,13 @@ namespace {
   return "eq. (20)-(23)";
 }
 
+/// Binding of a candidate whose MTF exceeds kMaxMtf: an analysis limit,
+/// not a paper equation, so it names the bound instead.
+[[nodiscard]] std::string mtf_bound_binding() {
+  return "MTF exceeds the analysable bound of " + std::to_string(kMaxMtf) +
+         " ticks";
+}
+
 /// Canonical supply-cache key: the partition's window set modulo schedule
 /// identity. Two schedules granting the same (offset, duration) pattern
 /// over the same MTF share one sbf table.
@@ -186,6 +193,9 @@ BatchAnalyzer::Pst BatchAnalyzer::build_pst(const Candidate& candidate) {
       return infeasible(
           std::string{binding_for(ViolationKind::kNonPositiveField)});
     }
+    if ((candidate.mtf > 0 ? candidate.mtf : period_lcm) > kMaxMtf) {
+      return infeasible(mtf_bound_binding());
+    }
     if (candidate.mtf > 0 && candidate.mtf % period_lcm != 0) {
       return infeasible(
           std::string{binding_for(ViolationKind::kMtfNotMultipleOfLcm)});
@@ -216,6 +226,7 @@ BatchAnalyzer::Pst BatchAnalyzer::build_pst(const Candidate& candidate) {
       return infeasible(
           std::string{binding_for(ViolationKind::kNonPositiveField)});
     }
+    if (schedule.mtf > kMaxMtf) return infeasible(mtf_bound_binding());
     const ValidationReport report = validate_schedule(schedule);
     if (!report.ok()) {
       return infeasible(std::string{binding_for(report.violations[0].kind)});

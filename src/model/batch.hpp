@@ -25,7 +25,7 @@
 //    util::StringArena::Stats. Distinct PSTs can still share a table.
 //
 //  - Fan-out. Per-candidate analyses are independent, so they run over a
-//    util::WorkerPool (the World's epoch-executor machinery). Determinism
+//    util::WorkerPool, whose caller is one of the lanes. Determinism
 //    contract: the verdict stream and the stats are byte-identical for any
 //    worker count. Results land in pre-assigned slots, and analyze() runs
 //    in phases separated by pool barriers:
@@ -105,8 +105,8 @@ struct BatchVerdict {
 };
 
 struct BatchOptions {
-  /// Worker lanes, World::set_workers() semantics: 1 = inline on the
-  /// caller, N = up to N concurrent lanes, 0 = one per hardware thread.
+  /// Worker lanes: 1 = inline on the caller, N = up to N concurrent lanes
+  /// (the caller plus N - 1 pool threads), 0 = one per hardware thread.
   std::size_t workers{1};
   /// Build each distinct PST once and intern PartitionSupply tables by
   /// canonical window set. Off = the one-at-a-time baseline the bench

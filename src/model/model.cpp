@@ -53,7 +53,13 @@ Ticks lcm_of_periods(const std::vector<ScheduleRequirement>& reqs) {
   Ticks acc = 0;
   for (const auto& req : reqs) {
     if (req.period <= 0) continue;
-    acc = acc == 0 ? req.period : lcm(acc, req.period);
+    if (acc == 0) {
+      acc = req.period;
+      continue;
+    }
+    const Ticks factor = req.period / std::gcd(acc, req.period);
+    if (acc > kInfiniteTime / factor) return kInfiniteTime;
+    acc *= factor;
   }
   return acc;
 }

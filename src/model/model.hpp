@@ -91,11 +91,18 @@ struct SystemModel {
   [[nodiscard]] const Schedule* schedule(ScheduleId id) const;
 };
 
+/// Largest MTF the analysis sizes tables for. The supply, sbf and EDF
+/// layout tables are O(MTF), so an MTF of 4e9 ticks would ask for tens of
+/// GB; a candidate whose MTF (given, or the lcm of its periods) exceeds
+/// this is infeasible before anything is built.
+inline constexpr Ticks kMaxMtf = Ticks{1} << 20;
+
 /// Least common multiple helper used by eq. (22); asserts on overflow-free
 /// small operands (tick-scale periods).
 [[nodiscard]] Ticks lcm(Ticks a, Ticks b);
 
-/// lcm over all requirement periods of a schedule (0 when empty).
+/// lcm over all requirement periods of a schedule (0 when empty), or
+/// kInfiniteTime when it exceeds the Ticks range.
 [[nodiscard]] Ticks lcm_of_periods(const std::vector<ScheduleRequirement>& reqs);
 
 }  // namespace air::model

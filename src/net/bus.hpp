@@ -135,8 +135,8 @@ class Bus {
   /// slot plus the propagation delay (the minimum path: VL gating and
   /// switch hops can only push the real delivery later). kInfiniteTime when
   /// nothing is queued or in flight. This is the epoch-horizon query of the
-  /// parallel World driver: modules may advance independently past ticks
-  /// the bus provably cannot touch. O(stations with queued frames).
+  /// World epoch driver: modules may advance independently past ticks the
+  /// bus provably cannot touch. O(stations with queued frames).
   [[nodiscard]] Ticks next_delivery(Ticks now) const;
 
   /// Total frames queued for transmission across all stations (in-flight
@@ -190,8 +190,8 @@ class Bus {
 
   /// Consulted when a slot owner moves a frame onto the wire.
   /// `transmit_seq` is the 0-based count of transmissions so far -- a
-  /// deterministic key that is identical under lockstep and the parallel
-  /// epoch driver (frames reach the transmit point in merged (tick,
+  /// deterministic key that is identical under lockstep and the epoch
+  /// driver (frames reach the transmit point in merged (tick,
   /// attach-order), and switches transmit in index order within a tick).
   using FaultHook = std::function<FaultDecision(
       std::uint64_t transmit_seq, ModuleId from, const ipc::RemotePortRef&)>;

@@ -22,9 +22,10 @@ OpOutcome apply_service(Module& module, apex::Apex& apex,
                         pos::ProcessControlBlock& pcb, const pos::Op& op,
                         PartitionId partition, Ticks now, bool resumed) {
   OpOutcome outcome;
-  // Receive-style ops copy the message into this scratch; thread_local so
-  // its capacity survives across calls (per worker thread under the
-  // parallel driver) and the steady state never reallocates it.
+  // Receive-style ops copy the message into this scratch; static so its
+  // capacity survives across calls and the steady state never reallocates
+  // it, thread_local so modules flown on separate host threads never
+  // share it.
   thread_local std::string message_scratch;
   auto done = [&](apex::ReturnCode code) {
     pcb.last_status = static_cast<std::int32_t>(code);

@@ -81,7 +81,7 @@ std::string_view to_string(FlightDriver driver) {
     case FlightDriver::kPerTick: return "per-tick";
     case FlightDriver::kWarped: return "warped";
     case FlightDriver::kLockstep: return "lockstep";
-    case FlightDriver::kParallel: return "parallel";
+    case FlightDriver::kEpoch: return "epoch";
   }
   return "?";
 }
@@ -175,7 +175,7 @@ std::uint64_t fly_candidate(const model::Candidate& candidate,
 
   const bool in_world = options.switched_bus ||
                         driver == FlightDriver::kLockstep ||
-                        driver == FlightDriver::kParallel;
+                        driver == FlightDriver::kEpoch;
   if (!in_world) {
     Module module(std::move(config));
     module.set_time_warp(driver == FlightDriver::kWarped);
@@ -191,7 +191,7 @@ std::uint64_t fly_candidate(const model::Candidate& candidate,
     world.add_module(chatter_peer(2, 1));
   }
   // Module drivers map onto world drivers: per-tick = lockstep with the
-  // candidate's warp engine off, warped = single-lane epochs.
+  // candidate's warp engine off, warped = epochs.
   module.set_time_warp(driver != FlightDriver::kPerTick);
   switch (driver) {
     case FlightDriver::kPerTick:
@@ -199,10 +199,7 @@ std::uint64_t fly_candidate(const model::Candidate& candidate,
       world.run_lockstep(horizon);
       break;
     case FlightDriver::kWarped:
-      world.run(horizon);
-      break;
-    case FlightDriver::kParallel:
-      world.set_workers(2);
+    case FlightDriver::kEpoch:
       world.run(horizon);
       break;
   }

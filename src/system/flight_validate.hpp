@@ -6,8 +6,8 @@
 //
 //  - Soundness: every analysis-accepted candidate must produce zero
 //    deadline misses -- on all four execution drivers (per-tick Module,
-//    warped Module, World lockstep, World epochs with a worker pool), so
-//    the oracle simultaneously re-checks the drivers' equivalence contract.
+//    warped Module, World lockstep, World epochs), so the oracle
+//    simultaneously re-checks the drivers' equivalence contract.
 //
 //  - Necessity: a *definite* reject (long-run demand above supply,
 //    BatchVerdict::definite) must exhibit the predicted miss in flight.
@@ -36,12 +36,12 @@ enum class FlightDriver : std::uint8_t {
   kPerTick,   // Module, time warp off: the reference tick loop
   kWarped,    // Module, next-event time warp on
   kLockstep,  // World::run_lockstep (per-tick world reference)
-  kParallel,  // World::run epoch driver, worker pool of 2
+  kEpoch,     // World::run, the sparse epoch driver
 };
 
 inline constexpr FlightDriver kAllFlightDrivers[] = {
     FlightDriver::kPerTick, FlightDriver::kWarped, FlightDriver::kLockstep,
-    FlightDriver::kParallel};
+    FlightDriver::kEpoch};
 
 [[nodiscard]] std::string_view to_string(FlightDriver driver);
 

@@ -44,7 +44,7 @@ class Module;
 /// time-warp engine bounds its fast-forward spans by next_event() so a hook
 /// never misses a tick it declared interesting -- which is what makes a
 /// hook's effects byte-identical under per-tick, warped, lockstep and
-/// parallel World execution.
+/// epoch World execution.
 class TickHook {
  public:
   virtual ~TickHook() = default;

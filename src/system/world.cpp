@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <thread>
 
 #include "util/assert.hpp"
 
@@ -28,25 +27,24 @@ Module& World::add_module(ModuleConfig config) {
   lag_.push_back(0);
   quiet_.push_back(0);
   staged_dirty_.push_back(0);
-  // Telemetry state must be module-confined: workers advance modules
-  // concurrently, so no recorder may be shared with the bus (or, by unique
-  // origin above, with any other module).
+  // Telemetry state must be module-confined: no recorder may be shared
+  // with the bus (or, by unique origin above, with any other module).
   AIR_ASSERT_MSG(module.spans().origin() != bus_spans_.origin(),
                  "module span recorder aliases the bus recorder");
 
-  // Remote sends are staged, never injected directly: during a parallel
-  // epoch this closure runs on a worker thread, and the per-module queue is
-  // the only state it may write. The driver merges staged frames into the
-  // bus at the barrier in (tick, module attach order), which is exactly the
-  // order direct Bus::send calls had under per-tick lockstep -- TDMA
-  // arbitration and bus span numbering stay independent of the thread
-  // interleaving.
+  // Remote sends are staged, never injected directly: an epoch runs each
+  // due module through the whole span before the next one starts, so
+  // direct sends would reach the bus grouped by module, not by tick. The
+  // driver merges staged frames into the bus at the barrier in (tick,
+  // module attach order), which is exactly the order direct Bus::send
+  // calls had under per-tick lockstep -- TDMA arbitration and bus span
+  // numbering stay the same on both drivers.
   const std::size_t index = modules_.size() - 1;
   module.remote_send = [this, index](const ipc::RemotePortRef& dest,
                                      const ipc::Message& message,
                                      ipc::ChannelKind kind) {
     staged_[index].push_back({mods_[index]->now(), dest, message, kind});
-    staged_dirty_[index] = 1;  // own lane's byte: race-free under the pool
+    staged_dirty_[index] = 1;
   };
   // Deliveries land at the barrier, serially. A module whose warp the
   // epoch driver deferred is brought to the delivery tick first, and its
@@ -115,15 +113,6 @@ void World::settle(std::size_t i) {
   ++stats_.settles;
 }
 
-void World::set_workers(std::size_t workers) {
-  if (workers == 0) {
-    workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  if (workers == workers_) return;
-  workers_ = workers;
-  pool_.reset();
-}
-
 Ticks World::epoch_horizon(Ticks limit) const {
   AIR_ASSERT(limit > 0);
   Ticks horizon = limit;
@@ -149,9 +138,8 @@ Ticks World::epoch_horizon(Ticks limit) const {
 }
 
 void World::merge_and_run_bus(Ticks start, Ticks ticks) {
-  // The dirty byte column is the only full-width scan: one byte per module,
-  // written solely by its own lane during the epoch, read here after the
-  // pool joined. Modules that stayed silent cost one byte load each.
+  // The dirty byte column is the only full-width scan: modules that stayed
+  // silent cost one byte load each.
   merge_list_.clear();
   for (std::size_t i = 0; i < staged_dirty_.size(); ++i) {
     if (staged_dirty_[i] != 0) merge_list_.push_back(i);
@@ -207,54 +195,35 @@ void World::merge_and_run_bus(Ticks start, Ticks ticks) {
 
 void World::run(Ticks ticks) {
   if (ticks <= 0) return;
-  if (workers_ > 1 && !pool_) {
-    // The epoch caller claims work alongside the pool, so `workers_` lanes
-    // need one fewer thread.
-    pool_ = std::make_unique<util::WorkerPool>(workers_ - 1);
-  }
-  const bool pooled =
-      pool_ != nullptr && pool_->thread_count() > 0 && modules_.size() > 1;
   // Every module sits at now_ (lag 0) between runs.
   refresh_columns();
   Ticks done = 0;
   while (done < ticks) {
     // One epoch round is the World profiler's sampling unit. The scopes
     // attribute the cross-module machinery only; module-interior cost
-    // lands in each module's own profiler tree (which workers advance
-    // concurrently -- a shared tree would race).
+    // lands in each module's own profiler tree.
     profiler_.begin_tick();
     telemetry::HostProfiler::Scope epoch_scope(
         profiler_, telemetry::ProfilePoint::kEpoch);
     const Ticks span = epoch_horizon(ticks - done);
     const Ticks start = now_;
     // Due test: a module whose next event lies past the epoch would only
-    // warp through it, so it just accrues the span as lag.
-    due_.clear();
+    // warp through it, so it just accrues the span as lag. A due module
+    // runs its deferred warp and the epoch in one call, as soon as the scan
+    // reaches it: its sends are staged, so it cannot touch another module.
     for (std::size_t i = 0; i < live_.size(); ++i) {
       if (live_[i] == kStopped) continue;
-      if (live_[i] == kStepping || quiet_[i] - lag_[i] < span) {
-        due_.push_back(i);
-      } else {
+      if (live_[i] != kStepping && quiet_[i] - lag_[i] >= span) {
         lag_[i] += span;
+        continue;
       }
-    }
-    // A due module runs its deferred warp and the epoch in one call; only
-    // its own lag/quiet entries are written, so lanes never share a slot.
-    const auto advance = [this, span](std::size_t i) {
       Module& module = *mods_[i];
       module.run(lag_[i] + span);
       lag_[i] = 0;
       quiet_[i] = module.warp_headroom();
-    };
-    if (pooled) {
-      pool_->run(due_.size(),
-                 [this, &advance](std::size_t k) { advance(due_[k]); });
-    } else {
-      for (const std::size_t i : due_) advance(i);
-    }
-    // Only a module that ran can have stopped; settles are pure warps.
-    for (const std::size_t i : due_) {
-      if (mods_[i]->stopped()) live_[i] = kStopped;
+      // Only a module that ran can have stopped; settles are pure warps.
+      if (module.stopped()) live_[i] = kStopped;
+      ++stats_.module_runs;
     }
     {
       telemetry::HostProfiler::Scope barrier_scope(
@@ -265,7 +234,6 @@ void World::run(Ticks ticks) {
     done += span;
     ++stats_.epochs;
     stats_.epoch_ticks += static_cast<std::uint64_t>(span);
-    stats_.module_runs += due_.size();
   }
   for (std::size_t i = 0; i < lag_.size(); ++i) settle(i);
 }
@@ -367,28 +335,18 @@ void World::run_lockstep(Ticks ticks) {
 std::string World::status_report() const {
   std::string out;
   char line[192];
-  std::snprintf(line, sizeof line, "world t=%lld  modules=%zu  workers=%zu\n",
-                static_cast<long long>(now_), modules_.size(), workers_);
+  std::snprintf(line, sizeof line, "world t=%lld  modules=%zu\n",
+                static_cast<long long>(now_), modules_.size());
   out += line;
   const double mean_epoch =
       stats_.epochs > 0 ? static_cast<double>(stats_.epoch_ticks) /
                               static_cast<double>(stats_.epochs)
                         : 0.0;
-  // Pool feed ratio: module runs actually offered per worker lane and
-  // epoch. >= 1.0 = on average every lane has a module each epoch; < 1.0 =
-  // fewer due modules than lanes. Deterministic by construction (no wall
-  // clock in the core).
-  const double utilisation =
-      stats_.epochs > 0 ? static_cast<double>(stats_.module_runs) /
-                              (static_cast<double>(stats_.epochs) *
-                               static_cast<double>(workers_))
-                        : 0.0;
   std::snprintf(line, sizeof line,
-                "  epochs: %llu (ticks=%llu, mean length=%.1f, "
-                "worker utilisation=%.2f)\n",
+                "  epochs: %llu (ticks=%llu, mean length=%.1f)\n",
                 static_cast<unsigned long long>(stats_.epochs),
                 static_cast<unsigned long long>(stats_.epoch_ticks),
-                mean_epoch, utilisation);
+                mean_epoch);
   out += line;
   std::snprintf(line, sizeof line,
                 "  sparse: module runs=%llu settles=%llu\n",

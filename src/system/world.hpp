@@ -11,12 +11,13 @@
 //  - run(): the sparse epoch driver. Per epoch it computes a safe horizon
 //    E (no bus delivery can land before the epoch's final tick, and no
 //    module can emit a frame that would) and runs only the modules whose
-//    next event falls inside the epoch -- on the worker pool when
-//    set_workers() enabled it -- while remote sends are staged into
-//    per-module queues. It then merges the staged frames into the bus in
-//    (tick, module attach order) and replays the bus across the epoch.
-//    Staging keeps TDMA arbitration and bus span numbering independent of
-//    thread interleaving.
+//    next event falls inside the epoch, one after another, while remote
+//    sends are staged into per-module queues. It then merges the staged
+//    frames into the bus in (tick, module attach order) and replays the bus
+//    across the epoch. Staging is what keeps the bus order right: a due
+//    module runs its whole epoch before the next one starts, so a direct
+//    Bus::send would land module 0's late frames ahead of module 1's early
+//    ones.
 //
 //    Sparsity rests on two per-module columns: lag_[i], the ticks module i
 //    still owes relative to now(), and quiet_[i], its warp_headroom() read
@@ -39,7 +40,6 @@
 
 #include "net/bus.hpp"
 #include "system/module.hpp"
-#include "util/worker_pool.hpp"
 
 namespace air::system {
 
@@ -61,20 +61,13 @@ class World {
   /// Construct and attach a module. The module's id must be unique.
   Module& add_module(ModuleConfig config);
 
-  /// Advance every module and the bus by `ticks` (sparse epoch driver;
-  /// parallel across due modules when set_workers() gave the pool more than
-  /// one lane). Every module sits at now() when it returns.
+  /// Advance every module and the bus by `ticks` (sparse epoch driver).
+  /// Every module sits at now() when it returns.
   void run(Ticks ticks);
 
   /// Advance by `ticks` with the reference per-tick lockstep semantics.
   /// run() is byte-identical to this; tests use it as the oracle.
   void run_lockstep(Ticks ticks);
-
-  /// Size the worker pool: 1 = in-process epochs (default), N = up to N
-  /// concurrent module lanes, 0 = one lane per hardware thread. Takes
-  /// effect at the next run(); byte-identical output for every setting.
-  void set_workers(std::size_t workers);
-  [[nodiscard]] std::size_t workers() const { return workers_; }
 
   /// Execution accounting for the drivers (deterministic; not part of the
   /// equivalence contract, exactly like Module::WarpStats).
@@ -91,8 +84,7 @@ class World {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// World section of the integrator status report: module count, epoch
-  /// totals, mean epoch length, module runs and settles, worker-pool feed
-  /// ratio.
+  /// totals, mean epoch length, module runs and settles.
   [[nodiscard]] std::string status_report() const;
 
   /// Enable the online bus plane: digest windows over the TDMA bus (per
@@ -198,22 +190,17 @@ class World {
   /// kStopped (monotone: never left), kWarping, or kStepping (time warp
   /// off: due every epoch).
   std::vector<std::uint8_t> live_;
-  // Sparse-epoch columns. Entry i is written by the lane running module i
-  // or, serially, by the barrier and run()'s settle pass.
+  // Sparse-epoch columns, written by the epoch loop, the barrier's
+  // deliveries and run()'s settle pass.
   std::vector<Ticks> lag_;    // ticks owed relative to now_ (pure warp)
   std::vector<Ticks> quiet_;  // warp_headroom() at the module's own clock
-  /// 1 = staged_[i] is non-empty. Byte i is written only by the lane
-  /// advancing module i (its own staging queue), so the column is safe
-  /// under the pooled epoch driver and lets the merge/injection loops skip
-  /// idle modules with a byte scan instead of touching every deque.
+  /// 1 = staged_[i] is non-empty: lets the merge/injection loops skip idle
+  /// modules with a byte scan instead of touching every queue.
   std::vector<std::uint8_t> staged_dirty_;
-  std::vector<std::size_t> due_;           // scratch: modules run this epoch
   std::vector<std::size_t> merge_list_;    // scratch: dirty module indices
   std::vector<std::size_t> merge_cursor_;  // scratch, parallel to merge_list_
   mutable std::vector<net::StationStats> station_scratch_;
   mutable telemetry::BusSample bus_sample_;  // sample_bus() storage
-  std::unique_ptr<util::WorkerPool> pool_;
-  std::size_t workers_{1};
   std::size_t warp_blocker_{kUnblocked};
   Stats stats_;
   Ticks now_{0};

@@ -8,7 +8,7 @@
 // here is integer arithmetic on tick-stamped values -- no floats on the
 // update path, no wall clock anywhere -- so digest sequences are
 // byte-identical across runs and across the per-tick, warped, lockstep and
-// parallel World drivers (tests/test_online.cpp).
+// epoch World drivers (tests/test_online.cpp).
 //
 // The online SLO watchdogs (online.hpp) evaluate each closed digest and emit
 // tick-stamped HealthEvents; this header holds the shared value types and

@@ -18,7 +18,7 @@
 // the World drivers close bus windows at the same world ticks with the
 // same frozen bus stats on every path). Digest sequences and HealthEvent
 // streams are therefore byte-identical across per-tick, warped, lockstep
-// and parallel execution -- asserted by tests/test_online.cpp.
+// and epoch execution -- asserted by tests/test_online.cpp.
 #pragma once
 
 #include <cstdint>
@@ -91,9 +91,7 @@ struct OnlineSample {
 
 /// Streaming NDJSON consumer (one complete line per call, newline
 /// included). Fires synchronously inside the window close; must not
-/// re-enter the plane. With a parallel World, attach sinks only to
-/// single-lane runs (the plane itself is module-confined; a shared sink
-/// is not).
+/// re-enter the plane.
 using HealthSink = std::function<void(const std::string& line)>;
 
 /// The per-module plane. Owned by system::Module; the module calls

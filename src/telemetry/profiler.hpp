@@ -47,7 +47,7 @@ enum class ProfilePoint : std::uint8_t {
   kWarpScan,         // time-warp quiescence scan (Module::warp_headroom)
   kOnlineClose,      // online SLO plane window close
   kTelemetryScrape,  // metrics_snapshot() batched counter scrape
-  kEpoch,            // World parallel epoch (root of the World tree)
+  kEpoch,            // World epoch (root of the World tree)
   kEpochBarrier,     // epoch merge barrier (frame staging -> delivery)
   kBusPump,          // net::Bus tick + frame delivery
   kCount

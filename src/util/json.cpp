@@ -4,12 +4,19 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace air::util::json {
 
 std::int64_t Value::as_int() const {
   if (is_int()) return std::get<std::int64_t>(data_);
-  return static_cast<std::int64_t>(std::get<double>(data_));
+  // Saturate: casting a double outside the int64 range is undefined.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  const double d = std::get<double>(data_);
+  if (d >= kTwo63) return std::numeric_limits<std::int64_t>::max();
+  if (d < -kTwo63) return std::numeric_limits<std::int64_t>::min();
+  if (std::isnan(d)) return 0;
+  return static_cast<std::int64_t>(d);
 }
 
 double Value::as_double() const {

@@ -47,6 +47,8 @@ class Value {
   [[nodiscard]] bool is_object() const { return std::holds_alternative<Object>(data_); }
 
   [[nodiscard]] bool as_bool() const { return std::get<bool>(data_); }
+  /// A double converts truncated toward zero, saturated at the int64
+  /// range (NaN reads 0).
   [[nodiscard]] std::int64_t as_int() const;
   [[nodiscard]] double as_double() const;
   [[nodiscard]] const std::string& as_string() const { return std::get<std::string>(data_); }

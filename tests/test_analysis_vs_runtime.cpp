@@ -148,10 +148,10 @@ TEST(AnalysisVsRuntime, SchedulableVerdictSurvivesSwitchedBusWorlds) {
     system::FlightOptions options;
     options.mtfs = 10;
     options.switched_bus = true;
-    // kPerTick maps to the lockstep world reference, kParallel to the
-    // epoch driver with a worker pool -- both world drivers covered.
+    // kPerTick maps to the lockstep world reference, kEpoch to the epoch
+    // driver -- both world drivers covered.
     for (const auto driver :
-         {system::FlightDriver::kPerTick, system::FlightDriver::kParallel}) {
+         {system::FlightDriver::kPerTick, system::FlightDriver::kEpoch}) {
       EXPECT_EQ(system::fly_candidate(candidate, schedule, driver, options),
                 0u)
           << "seed " << seed << " driver " << system::to_string(driver);

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -329,6 +330,53 @@ TEST(BatchAnalyzer, InfeasibleCandidatesCiteTheBindingEquation) {
   EXPECT_EQ(analyzer.stats().schedulable, 1u);
 }
 
+TEST(BatchAnalyzer, MtfAboveTheBoundIsInfeasibleBeforeAnyTableIsBuilt) {
+  const auto huge = [](std::uint64_t id, Ticks mtf,
+                       std::vector<model::ScheduleRequirement> reqs) {
+    model::Candidate c;
+    c.id = id;
+    c.name = "huge-" + std::to_string(id);
+    c.mtf = mtf;
+    c.requirements = std::move(reqs);
+    model::PartitionModel pm;
+    pm.id = PartitionId{0};
+    pm.processes.push_back({"q0", 100, 100, 10, 5, true});
+    c.partitions.push_back(pm);
+    return c;
+  };
+  // Given MTF one past the bound, period dividing it.
+  const model::Candidate given =
+      huge(1, model::kMaxMtf + 1, {{PartitionId{0}, model::kMaxMtf + 1, 10}});
+  // No MTF: the lcm of the periods is the MTF, and it is past the bound.
+  const model::Candidate from_lcm =
+      huge(2, 0, {{PartitionId{0}, 1'000'003, 10},
+                  {PartitionId{1}, 999'983, 10}});
+  // Co-prime periods whose lcm overflows Ticks: saturates, never wraps.
+  const model::Candidate overflow =
+      huge(3, 0, {{PartitionId{0}, 4'000'000'007, 10},
+                  {PartitionId{1}, 3'999'999'979, 10},
+                  {PartitionId{2}, 3'999'999'959, 10}});
+  // Explicit windows over a 4e9-tick MTF.
+  model::Candidate windows =
+      huge(4, 4'000'000'000, {{PartitionId{0}, 4'000'000'000, 10}});
+  windows.windows = {{PartitionId{0}, 0, 10}};
+
+  for (const bool memoise : {true, false}) {
+    model::BatchOptions options;
+    options.memoise = memoise;
+    model::BatchAnalyzer analyzer(options);
+    const auto verdicts =
+        analyzer.analyze({given, from_lcm, overflow, windows});
+    ASSERT_EQ(verdicts.size(), 4u);
+    for (const model::BatchVerdict& v : verdicts) {
+      EXPECT_EQ(v.verdict, model::Verdict::kInfeasible) << v.to_ndjson();
+      EXPECT_NE(v.binding.find("analysable bound"), std::string::npos)
+          << v.to_ndjson();
+    }
+    EXPECT_EQ(analyzer.stats().cache.misses, 0u) << "no sbf table built";
+  }
+}
+
 TEST(BatchAnalyzer, GeneratedStreamIsNotVacuous) {
   model::CandidateSpec spec;
   spec.count = 256;
@@ -408,6 +456,25 @@ TEST(CandidateCodec, DeeplyNestedLineIsMalformedNotACrash) {
   EXPECT_NE(stream.errors[0].find("nesting"), std::string::npos)
       << stream.errors[0];
   EXPECT_EQ(stream.candidates.size(), 1u) << "the next line still parses";
+}
+
+TEST(CandidateCodec, HugeMtfLineIsInfeasibleNotAnAllocation) {
+  // Both lines once asked PartitionSupply for O(MTF) tables: the first
+  // for tens of GB, the second through an undefined double-to-int cast.
+  const auto stream = config::parse_candidates(
+      "{\"id\":1,\"mtf\":4000000000,\"requirements\":[{\"partition\":0,"
+      "\"period\":4000000000,\"duration\":10}],\"partitions\":[]}\n"
+      "{\"id\":2,\"mtf\":1e300,\"requirements\":[{\"partition\":0,"
+      "\"period\":100,\"duration\":10}],\"partitions\":[]}\n");
+  ASSERT_TRUE(stream.ok()) << stream.errors.front();
+  ASSERT_EQ(stream.candidates.size(), 2u);
+  EXPECT_EQ(stream.candidates[1].mtf, std::numeric_limits<Ticks>::max());
+  model::BatchAnalyzer analyzer;
+  for (const model::BatchVerdict& v : analyzer.analyze(stream.candidates)) {
+    EXPECT_EQ(v.verdict, model::Verdict::kInfeasible) << v.to_ndjson();
+    EXPECT_NE(v.binding.find("analysable bound"), std::string::npos)
+        << v.to_ndjson();
+  }
 }
 
 TEST(DifferentialValidation, OracleHoldsOver500GeneratedConfigs) {

@@ -1,6 +1,6 @@
 // Golden-trace regression: the Sect. 6 / Fig. 8 reference mission flown for
 // ten major time frames must produce a byte-identical event trace on every
-// execution driver (per-tick, time-warped, lockstep World, parallel World),
+// execution driver (per-tick, time-warped, lockstep World, epoch World),
 // and that trace must match the digest snapshotted in tests/golden/.
 //
 // Regenerate the snapshot after an *intentional* behaviour change with:
@@ -46,7 +46,7 @@ std::uint64_t module_mission_digest(bool warp) {
   return fi::digest64(module.trace().to_text());
 }
 
-std::uint64_t world_mission_digest(bool lockstep, std::size_t workers) {
+std::uint64_t world_mission_digest(bool lockstep) {
   system::ModuleConfig fig8 = scenarios::fig8_config();
   fig8.id = ModuleId{0};
   for (ipc::ChannelConfig& channel : fig8.channels) {
@@ -83,7 +83,6 @@ std::uint64_t world_mission_digest(bool lockstep, std::size_t workers) {
   ground_config.schedules = {schedule};
   system::Module& ground = world.add_module(std::move(ground_config));
 
-  world.set_workers(workers);
   fly(prototype, [&](Ticks t) {
     if (lockstep) {
       world.run_lockstep(t);
@@ -127,10 +126,10 @@ TEST(GoldenTrace, Fig8MissionReplaysIdenticallyOnEveryDriver) {
   EXPECT_EQ(per_tick, warped)
       << "time-warp fast-forward altered the mission trace";
 
-  const std::uint64_t lockstep = world_mission_digest(/*lockstep=*/true, 1);
-  const std::uint64_t parallel = world_mission_digest(/*lockstep=*/false, 2);
-  EXPECT_EQ(lockstep, parallel)
-      << "parallel World execution altered the mission trace";
+  const std::uint64_t lockstep = world_mission_digest(/*lockstep=*/true);
+  const std::uint64_t epochs = world_mission_digest(/*lockstep=*/false);
+  EXPECT_EQ(lockstep, epochs)
+      << "the World epoch driver altered the mission trace";
 
   if (std::getenv("AIR_UPDATE_GOLDEN") != nullptr) {
     store_golden(per_tick, lockstep);

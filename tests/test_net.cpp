@@ -92,8 +92,8 @@ TEST(Bus, UnattachedDestinationCountsAsDropped) {
 }
 
 // ---------- idle_ticks / next_delivery edge cases ----------
-// These two queries bound the world-level time warp and the parallel epoch
-// horizon respectively; off-by-one here silently corrupts both drivers.
+// These two queries bound the world-level time warp and the epoch horizon
+// respectively; off-by-one here silently corrupts both drivers.
 
 TEST(Bus, IdleQueriesReportInfinityOnAnIdleBus) {
   net::Bus bus({.slot_length = 5, .frames_per_slot = 2,

@@ -1,7 +1,7 @@
 // Online observability plane: digest arithmetic (EWMA, histogram windows,
 // quantile extraction), watchdog semantics, and the determinism contract --
 // digest sequences and HealthEvent streams must be byte-identical across
-// the per-tick, warped, lockstep and parallel epoch drivers. Also covers
+// the per-tick, warped, lockstep and epoch drivers. Also covers
 // the telemetry export edge cases that ride along in this change: empty
 // registries, non-finite doubles in the JSON writer, CSV field escaping.
 #include <gtest/gtest.h>
@@ -250,7 +250,7 @@ Mission random_mission(std::uint64_t seed) {
   return mission;
 }
 
-enum class Driver { kPerTick, kWarped, kEpochInline, kEpochPooled };
+enum class Driver { kPerTick, kWarped, kEpoch };
 
 std::string fly(const Mission& mission, Driver driver) {
   system::World world(mission.bus);
@@ -259,7 +259,6 @@ std::string fly(const Mission& mission, Driver driver) {
     if (driver == Driver::kPerTick) module.set_time_warp(false);
   }
   world.enable_online(mission.online);
-  if (driver == Driver::kEpochPooled) world.set_workers(4);
   if (driver == Driver::kPerTick || driver == Driver::kWarped) {
     world.run_lockstep(mission.length);
   } else {
@@ -285,10 +284,8 @@ TEST(OnlinePlane, StreamsAreByteIdenticalAcrossDrivers) {
     const std::string reference = fly(mission, Driver::kPerTick);
     EXPECT_EQ(reference, fly(mission, Driver::kWarped))
         << label << ": warped lockstep diverges from per-tick";
-    EXPECT_EQ(reference, fly(mission, Driver::kEpochInline))
-        << label << ": inline epoch driver diverges from per-tick";
-    EXPECT_EQ(reference, fly(mission, Driver::kEpochPooled))
-        << label << ": pooled epoch driver diverges from per-tick";
+    EXPECT_EQ(reference, fly(mission, Driver::kEpoch))
+        << label << ": epoch driver diverges from per-tick";
     EXPECT_NE(reference.find("\"type\":\"digest\""), std::string::npos)
         << label << ": no digest windows closed";
     if (reference.find("\"type\":\"health\"") != std::string::npos) {

@@ -1,6 +1,6 @@
-// Parallel-world equivalence: the epoch driver (World::run, inline or on
-// the worker pool) must be byte-identical to the per-tick lockstep
-// reference (World::run_lockstep) -- per-module traces, metrics exports,
+// World driver equivalence: the sparse epoch driver (World::run) must be
+// byte-identical to the per-tick lockstep reference
+// (World::run_lockstep) -- per-module traces, metrics exports,
 // span streams, bus-transit spans, bus statistics and final APEX-visible
 // state -- across randomized multi-module missions with remote IPC traffic
 // (sampling rings + queuing links) and mid-mission mode switches.
@@ -215,16 +215,15 @@ Mission random_mission(std::uint64_t seed) {
   return mission;
 }
 
-enum class Driver { kLockstep, kEpochInline, kEpochPooled };
+enum class Driver { kLockstep, kEpoch };
 
 std::string fly(const Mission& mission, Driver driver,
-                std::size_t workers = 4, system::World::Stats* stats = nullptr,
+                system::World::Stats* stats = nullptr,
                 std::string* report = nullptr) {
   system::World world(mission.bus);
   for (const system::ModuleConfig& config : mission.modules) {
     world.add_module(config);
   }
-  if (driver == Driver::kEpochPooled) world.set_workers(workers);
   const auto advance = [&](Ticks ticks) {
     if (driver == Driver::kLockstep) {
       world.run_lockstep(ticks);
@@ -249,13 +248,8 @@ TEST(ParallelWorld, RandomizedMissionsAreByteIdentical) {
     const std::string label = "seed " + std::to_string(seed);
     const std::string reference = fly(mission, Driver::kLockstep);
     system::World::Stats stats;
-    const std::string inline_epochs =
-        fly(mission, Driver::kEpochInline, 1, &stats);
-    EXPECT_EQ(reference, inline_epochs)
-        << label << ": inline epoch driver diverges from lockstep";
-    const std::string pooled = fly(mission, Driver::kEpochPooled, 4);
-    EXPECT_EQ(reference, pooled)
-        << label << ": pooled epoch driver diverges from lockstep";
+    EXPECT_EQ(reference, fly(mission, Driver::kEpoch, &stats))
+        << label << ": epoch driver diverges from lockstep";
     EXPECT_GT(stats.epochs, 0u) << label;
     EXPECT_EQ(stats.epoch_ticks,
               static_cast<std::uint64_t>(mission.phase1 + mission.phase2))
@@ -269,7 +263,6 @@ TEST(ParallelWorld, MissionsCarryRemoteTraffic) {
     const Mission mission = random_mission(seed);
     system::World world(mission.bus);
     for (const auto& config : mission.modules) world.add_module(config);
-    world.set_workers(3);
     world.run(mission.phase1 + mission.phase2);
     EXPECT_GT(world.bus().stats().frames_delivered, 0u)
         << "seed " << seed << " exchanged no remote messages";
@@ -280,7 +273,7 @@ TEST(ParallelWorld, Fig8WithGroundStationFaultAndModeSwitch) {
   // The air_record mission shape: the Fig. 8 prototype (faulty process on
   // AOCS, chi_1 -> chi_2 switch at t=500) feeding a ground archiver over
   // the bus -- HM recovery, schedule switch and cross-bus queuing flows,
-  // byte-identical under the pooled epoch driver.
+  // byte-identical under the epoch driver.
   auto mission = [](Driver driver) {
     system::ModuleConfig fig8 = scenarios::fig8_config();
     fig8.id = ModuleId{0};
@@ -320,7 +313,6 @@ TEST(ParallelWorld, Fig8WithGroundStationFaultAndModeSwitch) {
         {.slot_length = 10, .frames_per_slot = 2, .propagation_delay = 2});
     system::Module& prototype = world.add_module(std::move(fig8));
     world.add_module(std::move(ground));
-    if (driver == Driver::kEpochPooled) world.set_workers(4);
     prototype.start_process_by_name(prototype.partition_id("AOCS"),
                                     scenarios::kFaultyProcessName);
     const auto advance = [&](Ticks ticks) {
@@ -334,19 +326,9 @@ TEST(ParallelWorld, Fig8WithGroundStationFaultAndModeSwitch) {
     return fingerprint(world);
   };
   const std::string reference = mission(Driver::kLockstep);
-  EXPECT_EQ(reference, mission(Driver::kEpochInline));
-  EXPECT_EQ(reference, mission(Driver::kEpochPooled));
+  EXPECT_EQ(reference, mission(Driver::kEpoch));
   EXPECT_GT(reference.size(), 10'000u) << "the mission is non-trivial";
   EXPECT_NE(reference.find("\"anomalies\""), std::string::npos);
-}
-
-TEST(ParallelWorld, WorkerCountNeverChangesBytes) {
-  const Mission mission = random_mission(7);
-  const std::string reference = fly(mission, Driver::kLockstep);
-  for (std::size_t workers : {2u, 3u, 8u}) {
-    EXPECT_EQ(reference, fly(mission, Driver::kEpochPooled, workers))
-        << workers << " workers";
-  }
 }
 
 // --- Sparse epochs: deferred warps settled at deliveries and run() ends ---
@@ -358,36 +340,33 @@ struct Flight {
 
 struct Flown {
   std::string bytes;           // the lockstep reference fingerprint
-  system::World::Stats stats;  // of the one-worker epoch flight
+  system::World::Stats stats;  // of the epoch flight
 };
 
 /// Flies `mission` once under run_lockstep() over the whole span, then
-/// under run() leg by leg with 1 and with 4 workers; both epoch flights
-/// must reproduce the reference byte for byte.
+/// under run() leg by leg; the epoch flight must reproduce the reference
+/// byte for byte.
 Flown expect_matches_lockstep(const Mission& mission, const Flight& flight,
                               const std::string& label) {
-  const auto build = [&](std::size_t workers) {
+  const auto build = [&] {
     auto world = std::make_unique<system::World>(mission.bus);
     for (const system::ModuleConfig& config : mission.modules) {
       world->add_module(config);
     }
-    world->set_workers(workers);
     if (flight.prepare) flight.prepare(*world);
     return world;
   };
   Ticks total = 0;
   for (const Ticks leg : flight.legs) total += leg;
   Flown flown;
-  auto reference = build(1);
+  auto reference = build();
   reference->run_lockstep(total);
   flown.bytes = fingerprint(*reference);
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    auto world = build(workers);
-    for (const Ticks leg : flight.legs) world->run(leg);
-    EXPECT_EQ(flown.bytes, fingerprint(*world))
-        << label << ": " << workers << " worker(s) diverge from lockstep";
-    if (workers == 1) flown.stats = world->stats();
-  }
+  auto world = build();
+  for (const Ticks leg : flight.legs) world->run(leg);
+  EXPECT_EQ(flown.bytes, fingerprint(*world))
+      << label << ": epoch driver diverges from lockstep";
+  flown.stats = world->stats();
   return flown;
 }
 
@@ -493,10 +472,9 @@ TEST(ParallelWorld, StatusReportDescribesTheWorld) {
   const Mission mission = random_mission(3);
   system::World::Stats stats;
   std::string report;
-  (void)fly(mission, Driver::kEpochPooled, 2, &stats, &report);
+  (void)fly(mission, Driver::kEpoch, &stats, &report);
   EXPECT_NE(report.find("world t="), std::string::npos) << report;
   EXPECT_NE(report.find("epochs:"), std::string::npos) << report;
-  EXPECT_NE(report.find("worker utilisation="), std::string::npos) << report;
   EXPECT_NE(report.find("module runs="), std::string::npos) << report;
   EXPECT_NE(report.find("settles="), std::string::npos) << report;
   EXPECT_NE(report.find("bus:"), std::string::npos) << report;

@@ -110,7 +110,9 @@ TEST_F(SchedulerTest, SwitchRequestIsDeferredToTheMtfBoundary) {
   // The rest of the first MTF still follows schedule 0.
   for (Ticks t = 10; t < 100; ++t) {
     scheduler_.tick();
-    if (t == 50) EXPECT_EQ(scheduler_.heir_partition(), PartitionId{1});
+    if (t == 50) {
+      EXPECT_EQ(scheduler_.heir_partition(), PartitionId{1});
+    }
   }
   // t=100: MTF boundary, schedule 1 becomes effective; its first window
   // belongs to partition 1.

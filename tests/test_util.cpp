@@ -2,6 +2,8 @@
 // ring buffer, deterministic RNG, trace, JSON.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "util/fixed_vector.hpp"
@@ -250,6 +252,22 @@ TEST(Json, NestingDepthIsBounded) {
   const auto hostile = util::json::parse(objects);
   ASSERT_FALSE(hostile.ok());
   EXPECT_EQ(hostile.error->column, util::json::kMaxDepth * 5 + 1);
+}
+
+TEST(Json, OutOfRangeDoublesSaturateAsInts) {
+  const auto as_int = [](const char* text) {
+    return util::json::parse(text).value->as_int();
+  };
+  EXPECT_EQ(as_int("1e300"), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(as_int("-1e300"), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(as_int("9.3e18"), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(as_int("-9.3e18"), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(as_int("-2.75e2"), -275);
+  EXPECT_EQ(as_int("1.9"), 1) << "in range: truncated toward zero";
+  const auto line = util::json::parse(R"({"mtf":1e300})");
+  ASSERT_TRUE(line.ok());
+  EXPECT_EQ(line.value->get_int("mtf", 0),
+            std::numeric_limits<std::int64_t>::max());
 }
 
 TEST(Json, UnicodeEscapes) {

@@ -112,12 +112,10 @@ TEST(WorldExtra, TdmaGivesEveryStationItsShare) {
   EXPECT_GT(world.bus().stats().frames_delivered, 100u);
 }
 
-TEST(WorldExtra, PooledRunMatchesLockstepOnChattyTopology) {
-  // The chatty three-module ring again, driven three ways: per-tick
-  // lockstep, inline epochs and a 4-lane worker pool. The pooled variant is
-  // what the CI ThreadSanitizer job watches for data races in the staging
-  // and barrier protocol.
-  auto fly = [](int mode) {
+TEST(WorldExtra, EpochRunMatchesLockstepOnChattyTopology) {
+  // The chatty three-module ring again, driven both ways: per-tick
+  // lockstep and the epoch driver.
+  auto fly = [](bool lockstep) {
     system::World world({.slot_length = 5, .frames_per_slot = 1,
                          .propagation_delay = 1});
     for (std::int32_t id : {0, 1, 2}) {
@@ -137,8 +135,7 @@ TEST(WorldExtra, PooledRunMatchesLockstepOnChattyTopology) {
            {"IN", ipc::PortDirection::kDestination, 32, 100}},
           {channel}));
     }
-    if (mode == 2) world.set_workers(4);
-    mode == 0 ? world.run_lockstep(600) : world.run(600);
+    lockstep ? world.run_lockstep(600) : world.run(600);
     std::string out;
     for (std::size_t m = 0; m < 3; ++m) {
       out += util::to_json(world.module(m).trace());
@@ -147,9 +144,7 @@ TEST(WorldExtra, PooledRunMatchesLockstepOnChattyTopology) {
     out += std::to_string(world.bus().stats().frames_delivered);
     return out;
   };
-  const std::string lockstep = fly(0);
-  EXPECT_EQ(lockstep, fly(1));
-  EXPECT_EQ(lockstep, fly(2));
+  EXPECT_EQ(fly(true), fly(false));
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 //
 // Usage:
 //   air-faultcamp [--seeds N] [--first-seed S] [--mtfs M] [--weaken-hm]
-//                 [--workers W] [--no-world] [--out DIR] [--quiet]
+//                 [--no-world] [--out DIR] [--quiet]
 //                 [--watchdog-selftest]
 //
 // --watchdog-selftest skips the sweep and instead verifies the online
@@ -43,7 +43,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: air-faultcamp [--seeds N] [--first-seed S] [--mtfs M]\n"
-      "                     [--weaken-hm] [--workers W] [--no-world]\n"
+      "                     [--weaken-hm] [--no-world]\n"
       "                     [--out DIR] [--quiet] [--watchdog-selftest]\n");
   return 1;
 }
@@ -66,9 +66,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--mtfs") == 0 && i + 1 < argc) {
       if (!parse_u64(argv[++i], value) || value == 0) return usage();
       options.mtfs = static_cast<Ticks>(value);
-    } else if (std::strcmp(arg, "--workers") == 0 && i + 1 < argc) {
-      if (!parse_u64(argv[++i], value)) return usage();
-      options.workers = static_cast<std::size_t>(value);
     } else if (std::strcmp(arg, "--weaken-hm") == 0) {
       options.weaken_hm = true;
     } else if (std::strcmp(arg, "--no-world") == 0) {
