@@ -93,12 +93,13 @@ BENCHMARK(BM_ResponseTimeAnalysis)->Arg(2)->Arg(8)->Arg(32);
 
 // --- the schedulability service (src/model/batch.hpp) ---
 //
-// Baseline vs service over the same generated candidate stream. The
-// baseline is the pre-service workflow: every candidate analysed in
-// isolation (no supply-table memoisation, one at a time). The service runs
-// the batch pipeline with the interned supply cache and the worker pool
-// (one lane per hardware thread). check_schedulability.py gates the
-// configs_per_second ratio and the cache hit rate.
+// Baseline vs service over the same generated candidate stream, both on
+// one lane. The baseline is the pre-service workflow: every candidate
+// analysed in isolation (no PST memo, no supply cache). The service runs
+// the batch pipeline with the PST memo and the interned supply cache, so
+// the ratio measures memoisation alone, free of thread wake-ups.
+// check_schedulability.py gates the configs_per_second ratio and the cache
+// hit rate.
 
 model::CandidateSpec bench_spec(std::int64_t count) {
   model::CandidateSpec spec;
@@ -128,7 +129,7 @@ void BM_BatchAnalyze_Service(benchmark::State& state) {
   double hit_rate = 0.0;
   for (auto _ : state) {
     model::BatchOptions options;
-    options.workers = 0;  // one lane per hardware thread
+    options.workers = 1;
     model::BatchAnalyzer analyzer(options);
     benchmark::DoNotOptimize(analyzer.analyze(candidates));
     const auto& cache = analyzer.stats().cache;

@@ -1,7 +1,5 @@
 #include "config/candidates.hpp"
 
-#include <sstream>
-
 #include "util/json.hpp"
 
 namespace air::config {
@@ -141,49 +139,60 @@ CandidateStream parse_candidates(std::string_view text) {
 std::string candidate_to_jsonl(const model::Candidate& candidate) {
   // Hand-rolled, key order fixed by this function (std::map-based
   // Value::dump would alphabetise) -- reproducer files must be diffable.
-  std::ostringstream os;
+  std::string out = "{\"id\":" + std::to_string(candidate.id);
+  const auto num = [&out](std::string_view key, std::int64_t value) {
+    out += key;
+    out += std::to_string(value);
+  };
+  const auto str = [&out](std::string_view key, const std::string& value) {
+    out += key;
+    util::json::append_string(out, value);
+  };
   const auto ticks = [](Ticks t) {
     return t == kInfiniteTime ? std::int64_t{-1}
                               : static_cast<std::int64_t>(t);
   };
-  os << "{\"id\":" << candidate.id
-     << ",\"name\":" << Value(candidate.name).dump()
-     << ",\"mtf\":" << candidate.mtf << ",\"requirements\":[";
+  str(",\"name\":", candidate.name);
+  num(",\"mtf\":", candidate.mtf);
+  out += ",\"requirements\":[";
   for (std::size_t i = 0; i < candidate.requirements.size(); ++i) {
     const model::ScheduleRequirement& r = candidate.requirements[i];
-    os << (i ? "," : "") << "{\"partition\":" << r.partition.value()
-       << ",\"period\":" << r.period << ",\"duration\":" << r.duration
-       << '}';
+    num(i ? ",{\"partition\":" : "{\"partition\":", r.partition.value());
+    num(",\"period\":", r.period);
+    num(",\"duration\":", r.duration);
+    out += '}';
   }
-  os << ']';
+  out += ']';
   if (!candidate.windows.empty()) {
-    os << ",\"windows\":[";
+    out += ",\"windows\":[";
     for (std::size_t i = 0; i < candidate.windows.size(); ++i) {
       const model::Window& w = candidate.windows[i];
-      os << (i ? "," : "") << "{\"partition\":" << w.partition.value()
-         << ",\"offset\":" << w.offset << ",\"duration\":" << w.duration
-         << '}';
+      num(i ? ",{\"partition\":" : "{\"partition\":", w.partition.value());
+      num(",\"offset\":", w.offset);
+      num(",\"duration\":", w.duration);
+      out += '}';
     }
-    os << ']';
+    out += ']';
   }
-  os << ",\"partitions\":[";
+  out += ",\"partitions\":[";
   for (std::size_t i = 0; i < candidate.partitions.size(); ++i) {
     const model::PartitionModel& pm = candidate.partitions[i];
-    os << (i ? "," : "") << "{\"id\":" << pm.id.value()
-       << ",\"name\":" << Value(pm.name).dump() << ",\"processes\":[";
+    num(i ? ",{\"id\":" : "{\"id\":", pm.id.value());
+    str(",\"name\":", pm.name);
+    out += ",\"processes\":[";
     for (std::size_t q = 0; q < pm.processes.size(); ++q) {
       const model::ProcessModel& proc = pm.processes[q];
-      os << (q ? "," : "") << "{\"name\":" << Value(proc.name).dump()
-         << ",\"period\":" << ticks(proc.period)
-         << ",\"deadline\":" << ticks(proc.deadline)
-         << ",\"priority\":" << static_cast<std::int64_t>(proc.priority)
-         << ",\"wcet\":" << proc.wcet
-         << ",\"periodic\":" << (proc.periodic ? "true" : "false") << '}';
+      str(q ? ",{\"name\":" : "{\"name\":", proc.name);
+      num(",\"period\":", ticks(proc.period));
+      num(",\"deadline\":", ticks(proc.deadline));
+      num(",\"priority\":", proc.priority);
+      num(",\"wcet\":", proc.wcet);
+      out += proc.periodic ? ",\"periodic\":true}" : ",\"periodic\":false}";
     }
-    os << "]}";
+    out += "]}";
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  return out;
 }
 
 }  // namespace air::config

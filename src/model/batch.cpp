@@ -1,7 +1,7 @@
 #include "model/batch.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <cstring>
 #include <thread>
 
@@ -48,9 +48,34 @@ namespace {
          " ticks";
 }
 
+/// Binding of a candidate with a process timing field beyond
+/// kMaxProcessTicks; like the MTF bound, it names the limit.
+[[nodiscard]] std::string process_bound_binding(std::string_view field) {
+  return "process " + std::string{field} +
+         " exceeds the analysable bound of " +
+         std::to_string(kMaxProcessTicks) + " ticks";
+}
+
+/// The first of period, deadline and WCET (in that order) that some
+/// process of `candidate` holds beyond kMaxProcessTicks, or empty. An
+/// infinite period or deadline is in range.
+[[nodiscard]] std::string_view field_out_of_bound(const Candidate& candidate) {
+  const auto beyond = [](Ticks t) {
+    return t != kInfiniteTime && t > kMaxProcessTicks;
+  };
+  for (const PartitionModel& pm : candidate.partitions) {
+    for (const ProcessModel& p : pm.processes) {
+      if (beyond(p.period)) return "period";
+      if (beyond(p.deadline)) return "deadline";
+      if (p.wcet > kMaxProcessTicks) return "wcet";
+    }
+  }
+  return {};
+}
+
 /// Canonical supply-cache key: the partition's window set modulo schedule
 /// identity. Two schedules granting the same (offset, duration) pattern
-/// over the same MTF share one sbf table.
+/// over the same MTF share one supply.
 [[nodiscard]] std::string supply_key(const Schedule& schedule,
                                      PartitionId partition) {
   std::string key = "m" + std::to_string(schedule.mtf) + '|';
@@ -92,15 +117,6 @@ namespace {
   return key;
 }
 
-/// Approximate heap footprint of one cached PartitionSupply, as this stat
-/// has always counted it: a byte plus a prefix and an sbf entry per tick of
-/// the MTF. The rank and inverse tables (2A+1 more Ticks, A <= MTF) are
-/// left out so that CacheStats::bytes stays comparable with earlier runs.
-[[nodiscard]] std::size_t supply_bytes(Ticks mtf) {
-  const auto n = static_cast<std::size_t>(mtf);
-  return n * sizeof(char) + 2 * (n + 1) * sizeof(Ticks);
-}
-
 [[nodiscard]] std::size_t pool_threads(std::size_t workers) {
   if (workers == 1) return 0;  // inline on the caller
   if (workers == 0) {
@@ -122,21 +138,30 @@ std::string_view to_string(Verdict verdict) {
 }
 
 std::string BatchVerdict::to_ndjson() const {
-  char util_buf[40];
-  std::snprintf(util_buf, sizeof util_buf, "%.6g", utilisation);
-  std::string line = "{\"id\":";
-  line += std::to_string(id);
+  // The keys, the verdict and the three numbers take at most 155 bytes;
+  // only escapes in the two strings can outgrow the reserve.
+  std::string line;
+  line.reserve(160 + name.size() + binding.size());
+  char buf[32];
+  const auto put = [&line, &buf](std::to_chars_result r) {
+    line.append(buf, r.ptr);
+  };
+  line += "{\"id\":";
+  put(std::to_chars(buf, buf + sizeof buf, id));
   line += ",\"name\":";
-  line += util::json::Value(name).dump();
+  util::json::append_string(line, name);
   line += ",\"verdict\":\"";
   line += to_string(verdict);
   line += "\",\"binding\":";
-  line += util::json::Value(binding).dump();
+  util::json::append_string(line, binding);
   line += definite ? ",\"definite\":true" : ",\"definite\":false";
   line += ",\"utilisation\":";
-  line += util_buf;
+  // to_chars with general format and a precision is defined as printf's
+  // %.6g, the stream's utilisation format.
+  put(std::to_chars(buf, buf + sizeof buf, utilisation,
+                    std::chars_format::general, 6));
   line += ",\"worst_wcrt\":";
-  line += std::to_string(worst_wcrt);
+  put(std::to_chars(buf, buf + sizeof buf, worst_wcrt));
   line += '}';
   return line;
 }
@@ -249,8 +274,17 @@ void BatchAnalyzer::bind(const Candidate& candidate, Slot& slot) const {
     v.binding = pst.binding;
     return;
   }
+  if (const std::string_view field = field_out_of_bound(candidate);
+      !field.empty()) {
+    v.verdict = Verdict::kInfeasible;
+    v.binding = process_bound_binding(field);
+    return;
+  }
+  // Schedulable until phase 6's analysis says otherwise.
+  v.verdict = Verdict::kSchedulable;
   v.utilisation = pst.utilisation;
   const std::vector<ScheduleRequirement>& reqs = pst.schedule->requirements;
+  slot.parts.reserve(candidate.partitions.size());
   for (const PartitionModel& pm : candidate.partitions) {
     if (const ScheduleRequirement* req = pst.schedule->requirement_for(pm.id)) {
       slot.parts.emplace_back(&pm,
@@ -264,9 +298,9 @@ void BatchAnalyzer::finish(Slot& slot) const {
   AIR_ASSERT(pst.schedule.has_value());
   const Schedule& schedule = *pst.schedule;
   BatchVerdict& v = slot.verdict;
-  v.verdict = Verdict::kSchedulable;
   v.binding = "eq. (14): wcrt <= D for every process";
   v.worst_wcrt = 0;
+  v.partitions.reserve(slot.parts.size());
 
   for (const auto& [pm, req] : slot.parts) {
     PartitionAnalysis pa;
@@ -327,14 +361,15 @@ std::vector<BatchVerdict> BatchAnalyzer::analyze(
     psts_[first_new + b] = build_pst(candidates[builders[b]]);
   });
 
-  // Phase 3 (parallel): bind each candidate to its PST.
+  // Phase 3 (parallel): bind each candidate to its PST, or reject it when
+  // the PST is infeasible or a process is beyond kMaxProcessTicks.
   pool_.run(n, [&](std::size_t i) { bind(candidates[i], slots[i]); });
 
   // Phase 4 (serial): intern canonical window-set keys in candidate order.
-  // Serialising the *interning* is what makes hit/miss counts and table
+  // Serialising the *interning* is what makes hit/miss counts and supply
   // identity independent of the worker count. Each PST computes the key of
   // a partition once; later candidates on it reuse the resolved index,
-  // which is a hit because the key is already cached. The O(MTF*W) table
+  // which is a hit because the key is already cached. The O(MTF) supply
   // constructions stay parallel in phase 5.
   struct Build {
     std::size_t pst;
@@ -358,7 +393,6 @@ std::vector<BatchVerdict> BatchAnalyzer::analyze(
           supplies_.emplace_back(nullptr);
           builds.push_back({slot.pst, pm->id, it->second});
           ++stats_.cache.misses;
-          stats_.cache.bytes += supply_bytes(pst.schedule->mtf);
         } else {
           ++stats_.cache.hits;
         }
@@ -367,17 +401,20 @@ std::vector<BatchVerdict> BatchAnalyzer::analyze(
     }
     stats_.cache.entries = supplies_.size();
 
-    // Phase 5 (parallel): build the missing sbf tables, one lane per table.
+    // Phase 5 (parallel): build the missing supplies, one lane per supply.
     pool_.run(builds.size(), [&](std::size_t b) {
       const Build& build = builds[b];
       supplies_[build.index] = std::make_unique<const PartitionSupply>(
           *psts_[build.pst].schedule, build.partition);
     });
+    for (const Build& build : builds) {
+      stats_.cache.bytes += supplies_[build.index]->bytes();
+    }
   }
 
   // Phase 6 (parallel): per-candidate response-time analyses.
   pool_.run(n, [&](std::size_t i) {
-    if (psts_[slots[i].pst].schedule.has_value()) finish(slots[i]);
+    if (slots[i].verdict.verdict == Verdict::kSchedulable) finish(slots[i]);
   });
   if (!options_.memoise) psts_.clear();
 

@@ -19,10 +19,10 @@
 //    partition's supply-cache index. Stats::psts_built counts the builds.
 //
 //  - Supply cache. The next repeated cost is PartitionSupply construction
-//    -- an O(MTF*W) sbf tabulation per (window set, partition), W the
-//    partition's window count -- so supplies are interned in a cache keyed
-//    by the canonicalised window set, with hit/miss Stats mirroring
-//    util::StringArena::Stats. Distinct PSTs can still share a table.
+//    -- O(MTF) prefix, rank and gap-start arrays per (window set,
+//    partition) -- so supplies are interned in a cache keyed by the
+//    canonicalised window set, with hit/miss Stats mirroring
+//    util::StringArena::Stats. Distinct PSTs can still share a supply.
 //
 //  - Fan-out. Per-candidate analyses are independent, so they run over a
 //    util::WorkerPool, whose caller is one of the lanes. Determinism
@@ -33,13 +33,13 @@
 //      2. parallel: build the new PSTs;
 //      3. parallel: bind each candidate to its PST;
 //      4. serial: intern supply keys in candidate order;
-//      5. parallel: build the new sbf tables;
+//      5. parallel: build the new supplies;
 //      6. parallel: response-time analysis per candidate.
 //    Every memo and cache write happens in a serial phase or in an entry
 //    that only one lane owns, so no outcome depends on thread interleaving.
 //
 // With memoise off, both the memo and the supply cache are skipped: every
-// candidate builds its own PST and tables, the independent reference the
+// candidate builds its own PST and supplies, the independent reference the
 // memoised path must reproduce byte for byte.
 //
 // The loop is closed by src/system/flight_validate.hpp: accepted PSTs are
@@ -108,7 +108,7 @@ struct BatchOptions {
   /// Worker lanes: 1 = inline on the caller, N = up to N concurrent lanes
   /// (the caller plus N - 1 pool threads), 0 = one per hardware thread.
   std::size_t workers{1};
-  /// Build each distinct PST once and intern PartitionSupply tables by
+  /// Build each distinct PST once and intern PartitionSupply objects by
   /// canonical window set. Off = the one-at-a-time baseline the bench
   /// compares against.
   bool memoise{true};
@@ -128,10 +128,10 @@ class BatchAnalyzer {
 
   struct CacheStats {
     std::uint64_t lookups{0};  // (candidate, partition) supply resolutions
-    std::uint64_t hits{0};     // resolved to an already-built table
-    std::uint64_t misses{0};   // tables actually constructed
-    std::size_t entries{0};    // live cached tables
-    std::size_t bytes{0};      // approximate cached table footprint
+    std::uint64_t hits{0};     // resolved to an already-built supply
+    std::uint64_t misses{0};   // supplies actually constructed
+    std::size_t entries{0};    // live cached supplies
+    std::size_t bytes{0};      // PartitionSupply::bytes() summed
   };
   struct Stats {
     std::uint64_t analyzed{0};

@@ -29,46 +29,50 @@ std::optional<Schedule> generate_schedule(const GeneratorInput& input) {
   if (mtf % period_lcm != 0) return std::nullopt;  // would break eq. (22)
   if (requirement_utilisation(input.requirements) > 1.0) return std::nullopt;
 
-  struct Job {
-    std::size_t req_index;
-    Ticks release;
-    Ticks deadline;
+  // EDF over the partition cycles: cycle k of requirement r is a job
+  // released at k*eta with deadline (k+1)*eta. The released, unfinished
+  // job set changes only at a release or a completion, so each event picks
+  // the job with the earliest deadline (ties: lower partition id, then
+  // requirement order, for determinism) and runs it until it completes or
+  // the next release; an idle stretch jumps to the next release. A cycle
+  // that ends with demand left has missed its deadline: infeasible.
+  struct Cycle {
+    Ticks end;  // the job's deadline and the next cycle's release
     Ticks remaining;
   };
+  const std::vector<ScheduleRequirement>& reqs = input.requirements;
+  std::vector<Cycle> cycles;
+  cycles.reserve(reqs.size());
+  for (const auto& req : reqs) cycles.push_back({req.period, req.duration});
 
-  std::vector<Job> jobs;
-  for (std::size_t r = 0; r < input.requirements.size(); ++r) {
-    const auto& req = input.requirements[r];
-    if (req.duration == 0) continue;
-    for (Ticks k = 0; k < mtf / req.period; ++k) {
-      jobs.push_back(
-          {r, k * req.period, (k + 1) * req.period, req.duration});
-    }
-  }
-
-  // EDF over the integer-tick timeline. One pass over [0, MTF); at each tick
-  // run the released job with the earliest deadline (ties: lower partition
-  // id, for determinism).
   std::vector<std::size_t> slot_owner(static_cast<std::size_t>(mtf),
                                       SIZE_MAX);
-  for (Ticks t = 0; t < mtf; ++t) {
-    Job* chosen = nullptr;
-    for (Job& job : jobs) {
-      if (job.remaining <= 0 || job.release > t) continue;
-      if (chosen == nullptr || job.deadline < chosen->deadline ||
-          (job.deadline == chosen->deadline &&
-           input.requirements[job.req_index].partition.value() <
-               input.requirements[chosen->req_index].partition.value())) {
-        chosen = &job;
+  Ticks now = 0;
+  while (now < mtf) {
+    std::size_t chosen = SIZE_MAX;
+    Ticks next_release = mtf;
+    for (std::size_t r = 0; r < cycles.size(); ++r) {
+      const Cycle& c = cycles[r];
+      next_release = std::min(next_release, c.end);
+      if (c.remaining == 0) continue;
+      if (chosen == SIZE_MAX || c.end < cycles[chosen].end ||
+          (c.end == cycles[chosen].end &&
+           reqs[r].partition.value() < reqs[chosen].partition.value())) {
+        chosen = r;
       }
     }
-    if (chosen == nullptr) continue;  // idle tick
-    if (t >= chosen->deadline) return std::nullopt;  // infeasible
-    slot_owner[static_cast<std::size_t>(t)] = chosen->req_index;
-    --chosen->remaining;
-  }
-  for (const Job& job : jobs) {
-    if (job.remaining > 0) return std::nullopt;
+    Ticks until = next_release;
+    if (chosen != SIZE_MAX) {
+      until = std::min(until, now + cycles[chosen].remaining);
+      std::fill(slot_owner.begin() + now, slot_owner.begin() + until, chosen);
+      cycles[chosen].remaining -= until - now;
+    }
+    now = until;
+    for (std::size_t r = 0; r < cycles.size(); ++r) {
+      if (cycles[r].end != now) continue;
+      if (cycles[r].remaining > 0) return std::nullopt;  // deadline missed
+      cycles[r] = {now + reqs[r].period, reqs[r].duration};
+    }
   }
 
   // Coalesce consecutive slots of the same partition into windows, breaking

@@ -91,11 +91,19 @@ struct SystemModel {
   [[nodiscard]] const Schedule* schedule(ScheduleId id) const;
 };
 
-/// Largest MTF the analysis sizes tables for. The supply, sbf and EDF
-/// layout tables are O(MTF), so an MTF of 4e9 ticks would ask for tens of
+/// Largest MTF the analysis sizes arrays for. The supply arrays and the
+/// EDF slot map are O(MTF), so an MTF of 4e9 ticks would ask for tens of
 /// GB; a candidate whose MTF (given, or the lcm of its periods) exceeds
 /// this is infeasible before anything is built.
 inline constexpr Ticks kMaxMtf = Ticks{1} << 20;
+
+/// Largest finite process period, deadline or WCET the analysis accepts.
+/// With the MTF within kMaxMtf, lcm(period, MTF) stays below 2^50, each
+/// interference term ceil(t/T)*C below 2^60 (t never exceeds the deadline
+/// or 64 MTFs), and the supply inverses' rank arithmetic below 2^51, so
+/// none of them overflows. A candidate with a process beyond it is
+/// infeasible before any analysis runs.
+inline constexpr Ticks kMaxProcessTicks = Ticks{1} << 30;
 
 /// Least common multiple helper used by eq. (22); asserts on overflow-free
 /// small operands (tick-scale periods).

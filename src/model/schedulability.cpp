@@ -11,59 +11,36 @@ PartitionSupply::PartitionSupply(const Schedule& schedule,
                                  PartitionId partition)
     : mtf_(schedule.mtf) {
   AIR_ASSERT(mtf_ > 0);
-  std::vector<char> available(static_cast<std::size_t>(mtf_), 0);
+  // prefix_[t + 1] first marks tick t available, then becomes the running
+  // sum.
+  prefix_.assign(static_cast<std::size_t>(mtf_) + 1, 0);
   for (const Window& w : schedule.windows) {
     if (w.partition != partition) continue;
     AIR_ASSERT_MSG(w.offset >= 0, "window offset must not be negative");
     AIR_ASSERT_MSG(w.duration >= 0, "window duration must not be negative");
-    for (Ticks t = w.offset; t < w.offset + w.duration && t < mtf_; ++t) {
-      available[static_cast<std::size_t>(t)] = 1;
+    if (w.offset >= mtf_) continue;
+    const Ticks end = w.offset + std::min(w.duration, mtf_ - w.offset);
+    for (Ticks t = w.offset; t < end; ++t) {
+      prefix_[static_cast<std::size_t>(t) + 1] = 1;
     }
   }
-
-  prefix_.assign(static_cast<std::size_t>(mtf_) + 1, 0);
-  for (Ticks t = 0; t < mtf_; ++t) {
-    const auto i = static_cast<std::size_t>(t);
-    prefix_[i + 1] = prefix_[i] + available[i];
-    if (available[i] != 0) tick_of_rank_.push_back(t);
-  }
-  per_mtf_ = prefix_[static_cast<std::size_t>(mtf_)];
-
-  // sbf over one MTF. supply(t0, len) never grows as t0 slides forward off
-  // an available tick or back over an unavailable one, so a gap start wins.
-  std::vector<Ticks> gap_starts;
-  for (Ticks t = 0; t < mtf_; ++t) {
-    const Ticks before = t == 0 ? mtf_ - 1 : t - 1;
-    if (available[static_cast<std::size_t>(t)] == 0 &&
-        available[static_cast<std::size_t>(before)] == 1) {
-      gap_starts.push_back(t);
-    }
-  }
-  if (gap_starts.empty()) gap_starts.push_back(0);  // always or never free
-  // supply(g, len) for g < MTF and len <= MTF: the interval wraps past the
-  // MTF end at most once, so it needs none of supply()'s divisions.
-  const auto from_gap = [this](Ticks g, Ticks len) {
-    const Ticks end = g + len;
-    const Ticks upto =
-        end <= mtf_ ? prefix_[static_cast<std::size_t>(end)]
-                    : per_mtf_ + prefix_[static_cast<std::size_t>(end - mtf_)];
-    return upto - prefix_[static_cast<std::size_t>(g)];
+  const auto available = [this](Ticks t) {
+    return prefix_[static_cast<std::size_t>(t) + 1] -
+           prefix_[static_cast<std::size_t>(t)];
   };
-  sbf_table_.assign(static_cast<std::size_t>(mtf_) + 1, 0);
-  inverse_sbf_table_.assign(static_cast<std::size_t>(per_mtf_) + 1, 0);
-  for (Ticks len = 1; len <= mtf_; ++len) {
-    const auto i = static_cast<std::size_t>(len);
-    Ticks least = len;  // supply can never exceed the interval length
-    for (const Ticks g : gap_starts) {
-      least = std::min(least, from_gap(g, len));
-    }
-    sbf_table_[i] = least;
-    // sbf is non-decreasing and steps by at most one, so the first length
-    // at which it rises is the least one reaching the new value.
-    if (least > sbf_table_[i - 1]) {
-      inverse_sbf_table_[static_cast<std::size_t>(least)] = len;
+  for (std::size_t i = 1; i < prefix_.size(); ++i) prefix_[i] += prefix_[i - 1];
+  per_mtf_ = prefix_.back();
+
+  tick_of_rank_.reserve(static_cast<std::size_t>(per_mtf_));
+  for (Ticks t = 0; t < mtf_; ++t) {
+    if (available(t) != 0) tick_of_rank_.push_back(t);
+    // A gap starts where an unavailable tick follows an available one.
+    if (available(t) == 0 && available(t == 0 ? mtf_ - 1 : t - 1) != 0) {
+      gap_starts_.push_back(t);
     }
   }
+  // Always or never free: every phase is as bad as any other.
+  if (gap_starts_.empty()) gap_starts_.push_back(0);
 }
 
 Ticks PartitionSupply::supply(Ticks t0, Ticks len) const {
@@ -79,19 +56,21 @@ Ticks PartitionSupply::supply(Ticks t0, Ticks len) const {
 
 Ticks PartitionSupply::sbf(Ticks len) const {
   if (len <= 0) return 0;
-  const Ticks full = len / mtf_;
-  const Ticks rest = len % mtf_;
-  return full * per_mtf_ + sbf_table_[static_cast<std::size_t>(rest)];
+  Ticks least = len;  // supply can never exceed the interval length
+  for (const Ticks g : gap_starts_) least = std::min(least, supply(g, len));
+  return least;
 }
 
 Ticks PartitionSupply::inverse_sbf(Ticks demand) const {
   if (demand <= 0) return 0;
   if (per_mtf_ <= 0) return kInfiniteTime;
-  // sbf(q*MTF + r) = q*A + sbf(r): whole MTFs supply the first q*A ticks,
-  // and the table finds the rest, 1..A, within the next MTF.
-  const Ticks q = (demand - 1) / per_mtf_;
-  return q * mtf_ +
-         inverse_sbf_table_[static_cast<std::size_t>(demand - q * per_mtf_)];
+  // sbf(len) >= demand exactly when every gap start's supply has reached
+  // demand by len, and each of those supplies is non-decreasing in len.
+  Ticks longest = 0;
+  for (const Ticks g : gap_starts_) {
+    longest = std::max(longest, inverse_supply_from(g, demand));
+  }
+  return longest;
 }
 
 Ticks PartitionSupply::inverse_supply_from(Ticks phase, Ticks demand) const {
@@ -108,26 +87,45 @@ Ticks PartitionSupply::inverse_supply_from(Ticks phase, Ticks demand) const {
 
 namespace {
 
-/// Interference demand of higher-or-equal-priority processes over an
-/// interval of length t, plus the process's own WCET.
-Ticks demand(const std::vector<const ProcessModel*>& interferers,
-             const ProcessModel& self, Ticks t) {
+/// Demand of process `q` over an interval of length t > 0: its own WCET
+/// plus the jobs its interferers release in the interval. Strictly higher
+/// priority always interferes; equal priority does conservatively (FIFO
+/// order not assumed). An infinite period releases one job. Stops summing
+/// once the total passes `limit`, which keeps the sum in range.
+Ticks demand(const std::vector<ProcessModel>& processes, std::size_t q,
+             Ticks t, Ticks limit) {
+  const ProcessModel& self = processes[q];
   Ticks total = self.wcet;
-  for (const ProcessModel* p : interferers) {
-    AIR_ASSERT(p->period > 0);
-    total += ((t + p->period - 1) / p->period) * p->wcet;
+  for (std::size_t j = 0; j < processes.size() && total <= limit; ++j) {
+    const ProcessModel& other = processes[j];
+    if (j == q || other.wcet <= 0 || other.period <= 0 ||
+        other.priority > self.priority) {
+      continue;
+    }
+    total += other.period == kInfiniteTime
+                 ? other.wcet
+                 : ((t + other.period - 1) / other.period) * other.wcet;
   }
   return total;
 }
 
-/// Fixed-point response-time iteration using `invert` as the inverse supply
-/// function. Returns kInfiniteTime when no fixpoint exists within `bound`.
+/// Fixed-point response-time iteration of process `q`, t <- invert(demand(t))
+/// with `invert` an inverse supply function, each demand first reduced by
+/// the selftest's `bonus`. Returns kInfiniteTime when no fixpoint exists
+/// within `bound`. Supply never outruns time, so a demand above
+/// bound + bonus cannot be met within the bound: it ends the iteration
+/// before the inverse runs, which keeps the inverse's arithmetic in range.
 template <class InvertFn>
-Ticks response_time(const std::vector<const ProcessModel*>& interferers,
-                    const ProcessModel& self, Ticks bound, InvertFn invert) {
-  Ticks t = invert(self.wcet);
+Ticks response_time(const std::vector<ProcessModel>& processes, std::size_t q,
+                    Ticks bound, Ticks bonus, InvertFn invert) {
+  const Ticks limit = std::min(bound, kInfiniteTime - bonus) + bonus;
+  const auto settle = [&](Ticks demanded) {
+    if (demanded > limit) return kInfiniteTime;
+    return invert(demanded > bonus ? demanded - bonus : 0);
+  };
+  Ticks t = settle(processes[q].wcet);
   while (t != kInfiniteTime && t <= bound) {
-    const Ticks next = invert(demand(interferers, self, t));
+    const Ticks next = settle(demand(processes, q, t, limit));
     if (next == t) return t;
     t = next;
   }
@@ -152,9 +150,6 @@ PartitionAnalysis analyze_partition(const Schedule& schedule,
   // The selftest mutation: claim `bonus` extra ticks of supply in every
   // interval by shrinking the demand handed to the inverse functions.
   const Ticks bonus = options.supply_bonus;
-  const auto debit = [bonus](Ticks demanded) {
-    return demanded > bonus ? demanded - bonus : 0;
-  };
 
   PartitionAnalysis result;
   result.partition = partition.id;
@@ -173,26 +168,16 @@ PartitionAnalysis analyze_partition(const Schedule& schedule,
   result.overloaded =
       result.process_utilisation > kOverloadMargin * result.supply_ratio;
 
+  result.processes.reserve(partition.processes.size());
   for (std::size_t q = 0; q < partition.processes.size(); ++q) {
     const ProcessModel& self = partition.processes[q];
-    ProcessAnalysis pa;
+    ProcessAnalysis& pa = result.processes.emplace_back();
     pa.name = self.name;
 
     if (self.wcet <= 0) {
       pa.wcrt = 0;
       pa.schedulable = true;
-      result.processes.push_back(std::move(pa));
       continue;
-    }
-
-    // Interference set: strictly higher priority always interferes; equal
-    // priority interferes conservatively (FIFO order not assumed).
-    std::vector<const ProcessModel*> interferers;
-    for (std::size_t j = 0; j < partition.processes.size(); ++j) {
-      if (j == q) continue;
-      const ProcessModel& other = partition.processes[j];
-      if (other.wcet <= 0 || other.period <= 0) continue;
-      if (other.priority <= self.priority) interferers.push_back(&other);
     }
 
     // Fixed-point iteration: t_{k+1} = inverse-supply(demand(t_k)).
@@ -201,9 +186,8 @@ PartitionAnalysis analyze_partition(const Schedule& schedule,
     Ticks wcrt;
     if (phasing == Phasing::kWorstCase || self.period <= 0 ||
         self.period == kInfiniteTime) {
-      wcrt = response_time(interferers, self, bound, [&](Ticks x) {
-        return supply.inverse_sbf(debit(x));
-      });
+      wcrt = response_time(partition.processes, q, bound, bonus,
+                           [&](Ticks x) { return supply.inverse_sbf(x); });
     } else {
       // MTF-aligned releases: maximise over the process's distinct release
       // offsets within the schedule hyperperiod.
@@ -211,10 +195,9 @@ PartitionAnalysis analyze_partition(const Schedule& schedule,
       wcrt = 0;
       for (Ticks release = 0; release < hyper; release += self.period) {
         const Ticks phase = release % schedule.mtf;
-        const Ticks r =
-            response_time(interferers, self, bound, [&](Ticks x) {
-              return supply.inverse_supply_from(phase, debit(x));
-            });
+        const Ticks r = response_time(
+            partition.processes, q, bound, bonus,
+            [&](Ticks x) { return supply.inverse_supply_from(phase, x); });
         if (r == kInfiniteTime) {
           wcrt = kInfiniteTime;
           break;
@@ -232,7 +215,6 @@ PartitionAnalysis analyze_partition(const Schedule& schedule,
       pa.schedulable = false;
     }
     if (!pa.schedulable) result.schedulable = false;
-    result.processes.push_back(std::move(pa));
   }
   return result;
 }

@@ -7,9 +7,11 @@
 // response-time analysis of the fixed-priority process sets inside each
 // partition, given the exact time windows of a PST.
 //
-// Because a PST is periodic over its MTF, the worst-case supply is additive:
-//   sbf(q*MTF + r) = q*A + sbf(r),   A = partition time per MTF,
-// so only sbf over one MTF is tabulated.
+// A PartitionSupply holds O(MTF) state: the prefix sums of the partition's
+// available ticks, the tick of each available rank and the gap starts (the
+// unavailable ticks that follow an available one). A worst-case interval
+// starts at a gap start, so the sbf is the least supply from a gap start
+// and its inverse the longest wait from one; no sbf table is kept.
 #pragma once
 
 #include <string>
@@ -28,13 +30,15 @@ class PartitionSupply {
   /// window pattern repeating every MTF (t0 in absolute ticks).
   [[nodiscard]] Ticks supply(Ticks t0, Ticks len) const;
 
-  /// Supply bound function: least supply over any interval of length `len`.
+  /// Supply bound function: least supply over any interval of length
+  /// `len`, the minimum of supply(g, len) over the gap starts g. O(G).
   [[nodiscard]] Ticks sbf(Ticks len) const;
 
   /// Smallest interval length whose worst-case supply reaches `demand`;
-  /// kInfiniteTime when the partition has no window time at all. O(1):
-  /// with q = (demand-1)/A, the answer is q*MTF plus the tabulated inverse
-  /// of sbf over one MTF for the remaining demand in 1..A.
+  /// kInfiniteTime when the partition has no window time at all. O(G): the
+  /// maximum of inverse_supply_from(g, demand) over the gap starts g, exact
+  /// because each supply(g, .) is non-decreasing, so sbf reaches `demand`
+  /// exactly when every one of them has.
   [[nodiscard]] Ticks inverse_sbf(Ticks demand) const;
 
   /// Smallest interval length starting at absolute phase `phase` whose
@@ -48,16 +52,21 @@ class PartitionSupply {
   [[nodiscard]] Ticks per_mtf() const { return per_mtf_; }
   [[nodiscard]] Ticks mtf() const { return mtf_; }
 
+  /// Bytes this supply holds: the object and its three arrays.
+  [[nodiscard]] std::size_t bytes() const {
+    return sizeof *this + (prefix_.size() + tick_of_rank_.size() +
+                           gap_starts_.size()) * sizeof(Ticks);
+  }
+
  private:
   Ticks mtf_{0};
   Ticks per_mtf_{0};
-  std::vector<Ticks> prefix_;     // prefix_[t] = supply in [0, t)
-  std::vector<Ticks> sbf_table_;  // sbf for len in [0, MTF]
+  std::vector<Ticks> prefix_;  // prefix_[t] = supply in [0, t)
   // tick_of_rank_[k] = the k-th available tick of the MTF, k in [0, A).
   std::vector<Ticks> tick_of_rank_;
-  // inverse_sbf_table_[d] = least len in [1, MTF] with sbf(len) >= d, for
-  // d in [1, A]; entry 0 is unused.
-  std::vector<Ticks> inverse_sbf_table_;
+  // Ticks in [0, MTF) where a gap starts; {0} when the partition is always
+  // or never free, where every phase is alike.
+  std::vector<Ticks> gap_starts_;
 };
 
 struct ProcessAnalysis {
@@ -122,10 +131,9 @@ struct AnalysisOptions {
     Phasing phasing = Phasing::kWorstCase);
 
 /// Core analysis over a caller-provided supply function -- the entry point
-/// the batch service uses so one memoised PartitionSupply (an O(MTF*W)
-/// table, W the partition's window count) can serve every candidate sharing
-/// the same canonical window set. `supply` must describe `partition.id`
-/// under `schedule`.
+/// the batch service uses so one memoised PartitionSupply (O(MTF) to build)
+/// can serve every candidate sharing the same canonical window set.
+/// `supply` must describe `partition.id` under `schedule`.
 [[nodiscard]] PartitionAnalysis analyze_partition(
     const Schedule& schedule, const PartitionModel& partition,
     const PartitionSupply& supply, const AnalysisOptions& options = {});

@@ -70,8 +70,8 @@ enum class Metric : std::uint8_t {
   kBatchSchedulable,              // counter: verdicts = schedulable
   kBatchUnschedulable,            // counter: verdicts = unschedulable
   kBatchInfeasible,               // counter: verdicts = infeasible
-  kBatchSupplyHits,               // counter: memoised sbf tables reused
-  kBatchSupplyMisses,             // counter: sbf tables constructed
+  kBatchSupplyHits,               // counter: memoised supplies reused
+  kBatchSupplyMisses,             // counter: supplies constructed
   kCount
 };
 

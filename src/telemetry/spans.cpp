@@ -52,7 +52,7 @@ void SpanRecorder::set_capacity(std::size_t capacity) {
   if (capacity_ == 0) {
     // Back to unbounded: materialise the ring into the vector and drop it.
     if (ring_ != nullptr) {
-      closed();  // refresh the view
+      (void)closed();  // refresh the view
       ring_.reset();
       view_dirty_ = false;
     }

@@ -53,11 +53,9 @@ std::string ParseError::to_string() const {
          std::to_string(column) + ": " + message;
 }
 
-namespace {
-
-void escape_string(const std::string& in, std::string& out) {
+void append_string(std::string& out, std::string_view text) {
   out += '"';
-  for (char c : in) {
+  for (char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -76,6 +74,8 @@ void escape_string(const std::string& in, std::string& out) {
   }
   out += '"';
 }
+
+namespace {
 
 void newline_indent(std::string& out, int indent, int depth) {
   if (indent < 0) return;
@@ -364,7 +364,7 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
     std::snprintf(buf, sizeof buf, "%.17g", d);
     out += buf;
   } else if (is_string()) {
-    escape_string(as_string(), out);
+    append_string(out, as_string());
   } else if (is_array()) {
     const auto& arr = as_array();
     if (arr.empty()) {
@@ -393,7 +393,7 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
       if (!first) out += ',';
       first = false;
       newline_indent(out, indent, depth + 1);
-      escape_string(key, out);
+      append_string(out, key);
       out += indent < 0 ? ":" : ": ";
       v.dump_to(out, indent, depth + 1);
     }

@@ -98,6 +98,11 @@ struct ParseResult {
 /// than a stack overflow.
 inline constexpr int kMaxDepth = 256;
 
+/// Append `text` to `out` as a quoted JSON string literal, escaped exactly
+/// as Value::dump escapes strings; lets hand-built lines skip the Value
+/// temporary.
+void append_string(std::string& out, std::string_view text);
+
 /// Parse a complete JSON document. Trailing garbage is an error.
 [[nodiscard]] ParseResult parse(std::string_view text);
 

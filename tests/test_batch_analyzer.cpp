@@ -6,13 +6,14 @@
 // differential flight oracle over a generated 500-config stream, and the
 // mutation self-test (a deliberately unsound analysis must be caught).
 //
-// The golden verdict digest pins the stream itself, so a supply table that
-// is wrong the same way memoised and unmemoised still fails here.
+// The golden verdict digest pins the stream itself, so a supply that is
+// wrong the same way memoised and unmemoised still fails here.
 // Regenerate it after an *intentional* verdict change with:
 //   AIR_UPDATE_GOLDEN=1 ./air_tests --gtest_filter='BatchAnalyzer.Golden*'
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -25,6 +26,7 @@
 #include "model/batch.hpp"
 #include "system/flight_validate.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/json.hpp"
 
 namespace air {
 namespace {
@@ -373,7 +375,114 @@ TEST(BatchAnalyzer, MtfAboveTheBoundIsInfeasibleBeforeAnyTableIsBuilt) {
       EXPECT_NE(v.binding.find("analysable bound"), std::string::npos)
           << v.to_ndjson();
     }
-    EXPECT_EQ(analyzer.stats().cache.misses, 0u) << "no sbf table built";
+    EXPECT_EQ(analyzer.stats().cache.misses, 0u) << "no supply built";
+  }
+}
+
+/// air-schedule --in's path for one candidate line whose only process
+/// carries `process` (name, period, deadline, priority, wcet fields).
+model::BatchVerdict analyze_line_with_process(const std::string& process,
+                                              model::BatchAnalyzer& analyzer) {
+  const auto stream = config::parse_candidates(
+      "{\"id\":1,\"mtf\":97,\"requirements\":[{\"partition\":0,"
+      "\"period\":97,\"duration\":10}],\"partitions\":[{\"id\":0,"
+      "\"processes\":[{" +
+      process + "}]}]}\n");
+  EXPECT_TRUE(stream.ok());
+  const auto verdicts = analyzer.analyze(stream.candidates);
+  EXPECT_EQ(verdicts.size(), 1u);
+  return verdicts.at(0);
+}
+
+void expect_process_bound_binding(const model::BatchVerdict& v,
+                                  const std::string& field,
+                                  const model::BatchAnalyzer& analyzer) {
+  EXPECT_EQ(v.verdict, model::Verdict::kInfeasible) << v.to_ndjson();
+  EXPECT_EQ(v.binding, "process " + field +
+                           " exceeds the analysable bound of " +
+                           std::to_string(model::kMaxProcessTicks) + " ticks");
+  EXPECT_TRUE(v.partitions.empty());
+  EXPECT_EQ(analyzer.stats().cache.lookups, 0u) << "no supply resolved";
+}
+
+TEST(BatchAnalyzer, ProcessPeriodAboveTheBoundIsInfeasible) {
+  // Unbounded, lcm(period, MTF) overflows Ticks in the MTF-aligned
+  // analysis.
+  model::BatchAnalyzer analyzer;
+  const model::BatchVerdict v = analyze_line_with_process(
+      "\"name\":\"q\",\"period\":100000000000000001,\"deadline\":97,"
+      "\"priority\":1,\"wcet\":5",
+      analyzer);
+  expect_process_bound_binding(v, "period", analyzer);
+}
+
+TEST(BatchAnalyzer, ProcessDeadlineAboveTheBoundIsInfeasible) {
+  model::BatchAnalyzer analyzer;
+  const model::BatchVerdict v = analyze_line_with_process(
+      "\"name\":\"q\",\"period\":97,\"deadline\":" +
+          std::to_string(model::kMaxProcessTicks + 1) +
+          ",\"priority\":1,\"wcet\":5",
+      analyzer);
+  expect_process_bound_binding(v, "deadline", analyzer);
+}
+
+TEST(BatchAnalyzer, ProcessWcetAboveTheBoundIsInfeasible) {
+  // Unbounded, the wcet overflows the supply inverse's rank arithmetic.
+  model::BatchAnalyzer analyzer;
+  const model::BatchVerdict v = analyze_line_with_process(
+      "\"name\":\"q\",\"period\":97,\"deadline\":97,\"priority\":1,"
+      "\"wcet\":9000000000000000000",
+      analyzer);
+  expect_process_bound_binding(v, "wcet", analyzer);
+}
+
+TEST(BatchAnalyzer, WorstCasePhasingIsByteIdenticalAcrossLanesAndMemoisation) {
+  // Four lanes inverting the sbf from gap starts against the one-lane,
+  // unmemoised reference.
+  const auto candidates = model::generate_candidates(small_spec());
+  model::BatchOptions pooled;
+  pooled.workers = 4;
+  pooled.analysis.phasing = model::Phasing::kWorstCase;
+  model::BatchOptions bare = pooled;
+  bare.workers = 1;
+  bare.memoise = false;
+  model::BatchAnalyzer with_lanes(pooled);
+  model::BatchAnalyzer reference(bare);
+  const std::string stream = verdict_stream(with_lanes.analyze(candidates));
+  EXPECT_EQ(stream, verdict_stream(reference.analyze(candidates)));
+  EXPECT_GT(with_lanes.stats().cache.hits, 0u);
+  EXPECT_NE(stream.find("\"verdict\":\"schedulable\""), std::string::npos);
+}
+
+TEST(BatchVerdict, NdjsonEscapesStringsAndPrintsUtilisationAsPercentG) {
+  model::BatchVerdict v;
+  v.id = std::numeric_limits<std::uint64_t>::max();
+  v.name = "say \"hi\"\\ \x01\n\t\r\x1f end";
+  v.verdict = model::Verdict::kUnschedulable;
+  v.binding = "back\\slash \"q\" \x7f\x02";
+  v.definite = true;
+  v.worst_wcrt = -1;
+  const std::string line = v.to_ndjson();
+  EXPECT_EQ(line.substr(0, line.find(",\"utilisation\"")),
+            "{\"id\":18446744073709551615,"
+            "\"name\":\"say \\\"hi\\\"\\\\ \\u0001\\n\\t\\r\\u001f end\","
+            "\"verdict\":\"unschedulable\","
+            "\"binding\":\"back\\\\slash \\\"q\\\" \x7f\\u0002\","
+            "\"definite\":true");
+  v.id = 7;  // util::json reads integers only within the int64 range
+  const auto parsed = util::json::parse(v.to_ndjson());
+  ASSERT_TRUE(parsed.ok()) << v.to_ndjson();
+  EXPECT_EQ(parsed.value->get_string("name", ""), v.name);
+  EXPECT_EQ(parsed.value->get_string("binding", ""), v.binding);
+
+  for (const double u : {0.0, 1.0, 1e-7, 0.1234565, 123456789.0, 2.0 / 3.0}) {
+    v.utilisation = u;
+    char expected[40];
+    std::snprintf(expected, sizeof expected, "%.6g", u);
+    EXPECT_NE(v.to_ndjson().find(",\"utilisation\":" + std::string{expected} +
+                                 ",\"worst_wcrt\":-1}"),
+              std::string::npos)
+        << v.to_ndjson();
   }
 }
 

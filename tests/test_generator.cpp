@@ -1,7 +1,12 @@
 // PST generator tests (E12): generated schedules always satisfy the model
 // equations; infeasible inputs are rejected. Includes a parameterised
-// property sweep over randomly drawn requirement sets.
+// property sweep over randomly drawn requirement sets and a seeded
+// differential test of the per-event EDF against a per-tick reference.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "model/generator.hpp"
 #include "model/validation.hpp"
@@ -122,6 +127,125 @@ TEST_P(GeneratorProperty, GeneratedSchedulesAlwaysValidate) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorProperty,
                          ::testing::Range<std::uint64_t>(1, 33));
+
+// ---------- differential: per-event EDF against a per-tick reference ----------
+
+/// EDF over the partition cycles, one tick at a time: each tick runs the
+/// released, unfinished cycle job with the earliest deadline (ties: lower
+/// partition id, then requirement order) and fails when that job is past
+/// its deadline or a job is left unfinished at the end. It has no
+/// utilisation pre-check, so over-utilised sets reach its miss path.
+/// Returns the windows coalesced as the generator does, or nullopt.
+std::optional<std::vector<Window>> per_tick_edf(
+    const std::vector<ScheduleRequirement>& reqs, Ticks mtf) {
+  struct Job {
+    std::size_t req;
+    Ticks release;
+    Ticks deadline;
+    Ticks remaining;
+  };
+  std::vector<Job> jobs;
+  for (std::size_t r = 0; r < reqs.size(); ++r) {
+    if (reqs[r].duration == 0) continue;
+    for (Ticks k = 0; k < mtf / reqs[r].period; ++k) {
+      jobs.push_back({r, k * reqs[r].period, (k + 1) * reqs[r].period,
+                      reqs[r].duration});
+    }
+  }
+  std::vector<std::size_t> owner(static_cast<std::size_t>(mtf), SIZE_MAX);
+  for (Ticks t = 0; t < mtf; ++t) {
+    Job* chosen = nullptr;
+    for (Job& job : jobs) {
+      if (job.remaining <= 0 || job.release > t) continue;
+      if (chosen == nullptr || job.deadline < chosen->deadline ||
+          (job.deadline == chosen->deadline &&
+           reqs[job.req].partition.value() <
+               reqs[chosen->req].partition.value())) {
+        chosen = &job;
+      }
+    }
+    if (chosen == nullptr) continue;
+    if (t >= chosen->deadline) return std::nullopt;
+    owner[static_cast<std::size_t>(t)] = chosen->req;
+    --chosen->remaining;
+  }
+  for (const Job& job : jobs) {
+    if (job.remaining > 0) return std::nullopt;
+  }
+  std::vector<Window> windows;
+  for (Ticks t = 0; t < mtf;) {
+    const std::size_t r = owner[static_cast<std::size_t>(t)];
+    if (r == SIZE_MAX) {
+      ++t;
+      continue;
+    }
+    const Ticks cycle_end = (t / reqs[r].period + 1) * reqs[r].period;
+    Ticks end = t;
+    while (end < mtf && end < cycle_end &&
+           owner[static_cast<std::size_t>(end)] == r) {
+      ++end;
+    }
+    windows.push_back({reqs[r].partition, t, end - t});
+    t = end;
+  }
+  return windows;
+}
+
+TEST(Generator, PerEventEdfMatchesThePerTickReference) {
+  static constexpr Ticks kPeriods[] = {6, 8, 12, 16, 24, 48};
+  int feasible_with_idle = 0;
+  int fully_utilised = 0;
+  int infeasible = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    // Up to six requirements over four partition ids, so equal deadlines
+    // tie on the partition id and, for a repeated id, on requirement order.
+    std::vector<ScheduleRequirement> reqs;
+    const auto count = rng.uniform(1, 6);
+    for (std::int64_t i = 0; i < count; ++i) {
+      const Ticks period =
+          kPeriods[static_cast<std::size_t>(rng.uniform(0, 5))];
+      reqs.push_back({PartitionId{static_cast<int>(rng.uniform(0, 3))},
+                      period, rng.uniform(0, period / 2)});
+    }
+    // Every third set is pushed to or past full utilisation.
+    if (seed % 3 == 0) {
+      while (requirement_utilisation(reqs) < 1.0) {
+        ScheduleRequirement& req =
+            reqs[static_cast<std::size_t>(rng.uniform(0, count - 1))];
+        req.duration = std::min(req.period, req.duration + 1);
+        if (std::all_of(reqs.begin(), reqs.end(), [](const auto& r) {
+              return r.duration == r.period;
+            })) {
+          break;
+        }
+      }
+    }
+    GeneratorInput input;
+    input.requirements = reqs;
+    input.mtf = lcm_of_periods(reqs) * rng.uniform(0, 2);  // 0 = the lcm
+    const Ticks mtf = input.mtf > 0 ? input.mtf : lcm_of_periods(reqs);
+
+    const auto generated = generate_schedule(input);
+    const auto reference = per_tick_edf(reqs, mtf);
+    ASSERT_EQ(generated.has_value(), reference.has_value())
+        << "utilisation " << requirement_utilisation(reqs);
+    if (!generated.has_value()) {
+      ++infeasible;
+      continue;
+    }
+    EXPECT_EQ(generated->mtf, mtf);
+    EXPECT_EQ(generated->windows, *reference);
+    Ticks busy = 0;
+    for (const Window& w : generated->windows) busy += w.duration;
+    ++(busy < mtf ? feasible_with_idle : fully_utilised);
+  }
+  // Each class must be populated, or the comparison proves little.
+  EXPECT_GE(feasible_with_idle, 100);
+  EXPECT_GE(fully_utilised, 5);
+  EXPECT_GE(infeasible, 50);
+}
 
 }  // namespace
 }  // namespace air::model

@@ -1,11 +1,11 @@
 // Property tests of the supply-bound function machinery behind the
-// schedulability analysis (and the batch service's memoised tables).
+// schedulability analysis (and the batch service's memoised supplies).
 //
 // Over randomized generator-produced PSTs (seeds logged on failure), for
 // every partition of every schedule:
 //   - sbf is monotone non-decreasing and 1-Lipschitz (one tick of interval
 //     buys at most one tick of supply);
-//   - MTF additivity, the property the tabulation relies on:
+//   - MTF additivity:
 //       sbf(q*MTF + r) == q*A + sbf(r),  A = partition time per MTF;
 //   - inverse_sbf is the exact lower inverse of sbf, and
 //     inverse_supply_from of supply from every phase: the returned length
@@ -14,11 +14,12 @@
 //     phase-aware inverse never waits longer than the phase-free one) --
 //     the soundness relation between Phasing::kWorstCase and kMtfAligned.
 //
-// The table itself is checked against a brute-force reference that takes
-// the least supply over *every* start phase, on seeded random window sets
-// and on the edge shapes the gap-start scan must get right; the O(1)
-// inverses are checked against the binary searches they replaced on the
-// same edge shapes.
+// sbf and inverse_sbf, both derived from the gap starts, are checked
+// against a brute-force reference that takes the least supply over *every*
+// start phase, on seeded random window sets and on the edge shapes the
+// gap-start scan must get right (no gap, no window, one-tick windows); the
+// inverses are also checked against binary searches on the same edge
+// shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,6 +183,18 @@ void expect_matches_brute_force(const model::Schedule& schedule,
     ASSERT_EQ(supply.sbf(static_cast<Ticks>(len)), reference[len])
         << "mtf " << schedule.mtf << " len " << len;
   }
+  // inverse_sbf is the least length whose reference sbf reaches the
+  // demand; demands up to 2A are met within the table's 2 MTFs.
+  for (Ticks demand = 1; demand <= reference.back(); ++demand) {
+    const auto first = std::find_if(
+        reference.begin(), reference.end(),
+        [demand](Ticks got) { return got >= demand; });
+    ASSERT_EQ(supply.inverse_sbf(demand), first - reference.begin())
+        << "mtf " << schedule.mtf << " demand " << demand;
+  }
+  if (reference.back() == 0) {
+    EXPECT_EQ(supply.inverse_sbf(1), kInfiniteTime);
+  }
 }
 
 model::Schedule shaped(Ticks mtf, std::vector<model::Window> windows) {
@@ -238,8 +251,8 @@ TEST(SbfTable, MatchesBruteForceOnRandomWindowSets) {
   }
 }
 
-/// Smallest length in [0, bracket] for which `reaches` holds -- the binary
-/// search the O(1) inverses replaced, kept as their reference.
+/// Smallest length in [0, bracket] for which `reaches` holds -- a binary
+/// search kept as the inverses' reference.
 template <class Reaches>
 Ticks bisect_inverse(const model::PartitionSupply& supply, Ticks demand,
                      Reaches reaches) {

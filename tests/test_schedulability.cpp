@@ -105,6 +105,26 @@ TEST(Analysis, InterferenceFromHigherPriorityProcesses) {
   EXPECT_EQ(lo, 95);
 }
 
+TEST(Analysis, AperiodicInterfererReleasesOneJob) {
+  // An infinite period (aperiodic, no minimum inter-arrival) interferes
+  // with one job of its WCET in any interval, however long.
+  PartitionModel partition;
+  partition.id = PartitionId{0};
+  partition.processes = {
+      {"hi", kInfiniteTime, kInfiniteTime, 5, 15, false},
+      {"lo", 100, 100, 20, 10, true},
+  };
+  for (const Phasing phasing : {Phasing::kWorstCase, Phasing::kMtfAligned}) {
+    const auto result = analyze_partition(simple_schedule(), partition,
+                                          phasing);
+    EXPECT_TRUE(result.schedulable);
+    // Worst case as in InterferenceFromHigherPriorityProcesses; aligned,
+    // lo's 25 ticks of demand end at t=35 of the window [10, 40).
+    EXPECT_EQ(result.processes[1].wcrt,
+              phasing == Phasing::kWorstCase ? 95 : 35);
+  }
+}
+
 TEST(Analysis, OverloadedProcessSetIsUnschedulable) {
   PartitionModel partition;
   partition.id = PartitionId{0};
