@@ -50,7 +50,7 @@ void BM_SamplingWritePropagate(benchmark::State& state) {
   const std::string payload(static_cast<std::size_t>(state.range(0)), 'x');
   Ticks now = 0;
   for (auto _ : state) {
-    ipc::Message m{payload, ++now, PartitionId{0}};
+    ipc::Message m{payload, ++now, PartitionId{0}, {}};
     benchmark::DoNotOptimize(fx.s_src.write(m));
     fx.router.propagate_sampling({PartitionId{0}, "SOUT"}, m);
   }
@@ -61,7 +61,7 @@ BENCHMARK(BM_SamplingWritePropagate)->Arg(16)->Arg(256)->Arg(4096);
 void BM_SamplingRead(benchmark::State& state) {
   LocalFixture fx;
   const std::string payload(static_cast<std::size_t>(state.range(0)), 'x');
-  ipc::Message m{payload, 0, PartitionId{0}};
+  ipc::Message m{payload, 0, PartitionId{0}, {}};
   fx.router.propagate_sampling({PartitionId{0}, "SOUT"}, m);
   for (auto _ : state) {
     benchmark::DoNotOptimize(fx.s_dst.read(100));
@@ -74,7 +74,7 @@ void BM_QueuingRoundTrip(benchmark::State& state) {
   const std::string payload(static_cast<std::size_t>(state.range(0)), 'x');
   Ticks now = 0;
   for (auto _ : state) {
-    (void)fx.src.send({payload, ++now, PartitionId{0}});
+    (void)fx.src.send({payload, ++now, PartitionId{0}, {}});
     fx.router.pump({PartitionId{0}, "OUT"});
     benchmark::DoNotOptimize(fx.dst.receive());
   }
@@ -101,7 +101,7 @@ void BM_BusThroughput(benchmark::State& state) {
                               const ipc::Message&,
                               ipc::ChannelKind) { ++delivered; });
   Ticks now = 0;
-  const ipc::Message m{"frame", 0, PartitionId{0}};
+  const ipc::Message m{"frame", 0, PartitionId{0}, {}};
   for (auto _ : state) {
     bus.send(ModuleId{0}, {ModuleId{0}, PartitionId{0}, "P"}, m,
              ipc::ChannelKind::kQueuing, now);
@@ -132,7 +132,7 @@ void BM_RemoteDeliveryLatency(benchmark::State& state) {
     }
     // The last module sends at t=0 but only transmits during its own TDMA
     // slot: delivery waits (modules-1) slots plus propagation.
-    const ipc::Message msg{"x", 0, PartitionId{0}};
+    const ipc::Message msg{"x", 0, PartitionId{0}, {}};
     bus.send(ModuleId{modules - 1}, {ModuleId{0}, PartitionId{0}, "P"}, msg,
              ipc::ChannelKind::kQueuing, 0);
     while (delivered_at < 0 && now < 10'000) {

@@ -115,4 +115,35 @@ BENCHMARK(BM_ModuleTick_IdleHeavy)
     ->Arg(0)  // warp off
     ->Arg(1); // warp on
 
+// The Fig. 8 mission (faulty process started) flown MTF by MTF through
+// Module::run. Besides idle ticks the warp folds the busy ticks in which a
+// steady heir computes, so most of each MTF is warped. The CI smoke gate
+// compares sim_ticks_per_second between Arg(0) (warp off) and Arg(1)
+// (warp on).
+void BM_ModuleTick_Fig8Mission(benchmark::State& state) {
+  const bool warp = state.range(0) != 0;
+  scenarios::Fig8Options options;
+  options.trace_enabled = false;
+  system::ModuleConfig config = scenarios::fig8_config(options);
+  config.telemetry.spans_enabled = false;
+  system::Module module(std::move(config));
+  module.set_time_warp(warp);
+  module.start_process_by_name(module.partition_id("AOCS"),
+                               scenarios::kFaultyProcessName);
+  for (auto _ : state) {
+    module.run(scenarios::kFig8Mtf);
+  }
+  state.counters["sim_ticks_per_second"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(scenarios::kFig8Mtf),
+      benchmark::Counter::kIsRate);
+  state.counters["warped_ticks"] = benchmark::Counter(
+      static_cast<double>(module.warp_stats().warped_ticks));
+  state.counters["stepped_ticks"] = benchmark::Counter(
+      static_cast<double>(module.warp_stats().stepped_ticks));
+}
+BENCHMARK(BM_ModuleTick_Fig8Mission)
+    ->Arg(0)  // warp off
+    ->Arg(1); // warp on
+
 }  // namespace

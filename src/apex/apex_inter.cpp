@@ -77,7 +77,7 @@ ReturnCode Apex::write_sampling_message(PortId id, std::string_view message) {
   if (port.direction() != ipc::PortDirection::kSource) {
     return ReturnCode::kInvalidMode;
   }
-  ipc::Message msg{ipc::Payload{message}, now_fn_(), partition_};
+  ipc::Message msg{ipc::Payload{message}, now_fn_(), partition_, {}};
   if (msg.payload.size() > port.max_message_bytes()) {
     return ReturnCode::kInvalidParam;  // too large (port.write would refuse)
   }
@@ -142,7 +142,7 @@ ServiceResult Apex::send_queuing_message(PortId id, std::string_view message,
     purge_waiter(obj.senders, self->id);
     return ServiceResult::error(ReturnCode::kTimedOut);
   }
-  ipc::Message msg{ipc::Payload{message}, now_fn_(), partition_};
+  ipc::Message msg{ipc::Payload{message}, now_fn_(), partition_, {}};
   if (spans_ != nullptr && !obj.port->full() &&
       msg.payload.size() <= obj.port->max_message_bytes()) {
     // Root the flow only for a message that will actually enqueue; refused

@@ -37,8 +37,16 @@ CandidateParse parse_candidate(std::string_view line) {
     return result;
   }
 
+  // Verdict lines echo the id, and util::json reads integers only within
+  // the int64 range: a negative id would come back out as an unreadable
+  // 2^64 - |id|.
+  const std::int64_t id = root.get_int("id", 0);
+  if (id < 0) {
+    result.error = "id must be a non-negative integer";
+    return result;
+  }
   model::Candidate candidate;
-  candidate.id = static_cast<std::uint64_t>(root.get_int("id", 0));
+  candidate.id = static_cast<std::uint64_t>(id);
   candidate.name = root.get_string("name", "");
   candidate.mtf = root.get_int("mtf", 0);
 

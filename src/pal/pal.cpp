@@ -101,7 +101,7 @@ bool Pal::slack_sample_pending() const {
          (rec->pid != last_slack_pid_ || rec->deadline != last_slack_deadline_);
 }
 
-void Pal::advance_idle(Ticks now, Ticks elapsed) {
+void Pal::advance_quiet(Ticks now, Ticks elapsed) {
   AIR_ASSERT_MSG(next_attention_tick() > now,
                  "time-warp span crosses a PAL event");
   AIR_ASSERT_MSG(!slack_sample_pending(),

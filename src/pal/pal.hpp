@@ -57,12 +57,13 @@ class Pal {
   /// Such a tick must be stepped, not warped, to keep metrics byte-identical.
   [[nodiscard]] bool slack_sample_pending() const;
 
-  /// Bulk equivalent of `elapsed` quiescent announce_ticks calls ending at
-  /// `now`. Preconditions (checked): no timer wake and no deadline violation
+  /// Bulk equivalent of `elapsed` quiet announce_ticks calls ending at
+  /// `now`, whether the partition idles or its heir computes through them.
+  /// Preconditions (checked): no timer wake and no deadline violation
   /// occurs in the span, and no slack sample is pending. Replicates the
   /// per-tick counter effects exactly: one POS announce to `now`, plus
   /// `elapsed` steady-state deadline checks.
-  void advance_idle(Ticks now, Ticks elapsed);
+  void advance_quiet(Ticks now, Ticks elapsed);
 
   /// PAL private interface used by APEX services to register/update a
   /// process's absolute deadline time (Fig. 6).

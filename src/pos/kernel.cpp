@@ -306,6 +306,25 @@ ProcessId Kernel::schedule() {
   return current_;
 }
 
+bool Kernel::steady_heir() const {
+  // schedule() re-marks the heir running; only an heir that already is
+  // makes that a no-op (set_state returns early, no trace event).
+  const ProcessControlBlock* cur = pcb(current_);
+  if (cur == nullptr || cur->state != ProcessState::kRunning) return false;
+  switch (policy_) {
+    case Policy::kRt:
+      return preemption_locked() || pick_heir() == current_;
+    case Policy::kRoundRobin:
+      return ready_[0].size() == 1;
+  }
+  return false;
+}
+
+void Kernel::advance_steady(Ticks n) {
+  AIR_ASSERT_MSG(steady_heir(), "advance_steady: the heir would change");
+  dispatches_ += static_cast<std::uint64_t>(n);
+}
+
 void Kernel::set_priority(ProcessId id, Priority priority) {
   ProcessControlBlock& p = pcb_ref(id);
   switch (policy_) {

@@ -82,6 +82,14 @@ class Kernel {
   /// it; ProcessId::invalid() when no process is schedulable.
   ProcessId schedule();
   [[nodiscard]] ProcessId current() const { return current_; }
+  /// True when schedule() would re-elect the running process and change
+  /// nothing but the dispatch counter: under kRt preemption is locked or
+  /// the running process is still the eq. (14) heir; under kRoundRobin it
+  /// is alone in the ready queue (with two, every call rotates).
+  [[nodiscard]] bool steady_heir() const;
+  /// Bulk equivalent of `n` schedule() calls while steady_heir() holds
+  /// (checked) -- the time-warp engine's fold of busy ticks.
+  void advance_steady(Ticks n);
 
   void lock_preemption() { ++preemption_lock_; }
   void unlock_preemption() {

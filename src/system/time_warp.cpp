@@ -3,9 +3,12 @@
 // The paper's Algorithm 1 is built so the frequent case of the clock-tick
 // ISR does almost nothing ("two computations", Sect. 4.3). The simulation
 // exploits the same property wholesale: when a tick provably does nothing
-// but increment counters -- no preemption point, no runnable process, no
-// timer wake, no deadline edge, no channel movement, no telemetry sample --
-// the whole span of such ticks is collapsed into O(1) bulk advances.
+// but increment counters -- no preemption point, no heir change, no op
+// boundary, no timer wake, no deadline edge, no channel movement, no
+// telemetry sample -- the whole span of such ticks is collapsed into O(1)
+// bulk advances. An active partition qualifies when it idles, or when its
+// heir is steady (schedule() re-elects it unchanged) and spends the tick
+// inside an OpCompute or an empty busy-idle script.
 //
 // Correctness contract (asserted layer by layer, proven by the equivalence
 // suite in tests/test_time_warp.cpp): executing warp_advance(n) from a
@@ -19,11 +22,23 @@
 // next_preemption_point() therefore always stops the warp at or before the
 // boundary, and Algorithm 1 lines 3-7 run normally on the stepped tick.
 #include <algorithm>
+#include <variant>
 
 #include "system/module.hpp"
 #include "util/assert.hpp"
 
 namespace air::system {
+
+namespace {
+
+/// The OpCompute at `pcb`'s program counter; nullptr when its script is
+/// empty (a busy-idle process) or the op there is a zero-time service.
+const pos::OpCompute* running_compute(const pos::ProcessControlBlock& pcb) {
+  if (pcb.attrs.script.empty()) return nullptr;
+  return std::get_if<pos::OpCompute>(&pcb.attrs.script[pcb.pc]);
+}
+
+}  // namespace
 
 Ticks Module::warp_headroom() const {
   if (stopped_) return 0;
@@ -58,8 +73,21 @@ Ticks Module::warp_headroom() const {
 
     const pal::Pal& p = *partitions_[static_cast<std::size_t>(active.value())]
                              .pal;
-    // Runnable work: the executor would act this tick.
-    if (p.kernel().ready_depth() != 0) return 0;
+    const pos::Kernel& kernel = p.kernel();
+    if (kernel.ready_depth() != 0) {
+      // Runnable work folds only while the executor's tick is counters-
+      // only: the same heir is re-elected and computes on. The tick that
+      // finishes the compute moves pc and is stepped.
+      if (!kernel.steady_heir()) return 0;
+      const pos::ProcessControlBlock& running =
+          *kernel.pcb(kernel.current());
+      if (const pos::OpCompute* compute = running_compute(running)) {
+        next_event = std::min(next_event,
+                              t + compute->ticks - running.op_progress);
+      } else if (!running.attrs.script.empty()) {
+        return 0;  // a zero-time service runs on the next tick
+      }
+    }
     // A deadline record whose slack episode has not been sampled yet:
     // the next announce writes a histogram entry, so it must be stepped.
     if (p.slack_sample_pending()) return 0;
@@ -104,17 +132,36 @@ void Module::warp_advance(Ticks n) {
   }
 
   // PAL/POS: for each active NORMAL partition, one batched surrogate
-  // clock-tick announce (Algorithm 3 steady state, n deadline checks) and
-  // n slack ticks -- the executor would have found no runnable process.
+  // clock-tick announce (Algorithm 3 steady state, n deadline checks),
+  // then the executor's n ticks: slack when nothing is runnable, else n
+  // re-elections of the steady heir, each spent on its compute. Each
+  // stepped tick also re-selects the partition's address space, in core
+  // order, flushing the TLB on every switch; one round leaves the MMU as
+  // n rounds would.
   for (Core& core : cores_) {
     const PartitionId active = core.dispatcher->active_partition();
     if (!active.valid()) continue;
     pmk::PartitionControlBlock& pcb =
         pcbs_[static_cast<std::size_t>(active.value())];
     if (pcb.mode != pmk::OperatingMode::kNormal) continue;
-    partitions_[static_cast<std::size_t>(active.value())].pal->advance_idle(
-        now(), n);
-    pcb.slack_ticks += n;
+    if (pcb.mmu_context >= 0) {
+      machine_.mmu().set_active_context(pcb.mmu_context);
+    }
+    pal::Pal& p = *partitions_[static_cast<std::size_t>(active.value())].pal;
+    p.advance_quiet(now(), n);
+    pos::Kernel& kernel = p.kernel();
+    if (kernel.ready_depth() == 0) {
+      pcb.slack_ticks += n;
+      continue;
+    }
+    kernel.advance_steady(n);
+    pos::ProcessControlBlock& running = *kernel.pcb(kernel.current());
+    if (const pos::OpCompute* compute = running_compute(running)) {
+      running.op_progress += n;
+      AIR_ASSERT_MSG(running.op_progress < compute->ticks,
+                     "time-warp span finishes a compute");
+    }
+    pcb.busy_ticks += n;
   }
 
   warp_stats_.warped_ticks += static_cast<std::uint64_t>(n);

@@ -553,6 +553,35 @@ TEST(CandidateCodec, MalformedLinesAreReportedNotFatal) {
       << "missing requirements must be an error";
 }
 
+TEST(CandidateCodec, VerdictIdsRoundTripThroughTheJsonReader) {
+  for (const std::int64_t id :
+       {std::int64_t{0}, std::numeric_limits<std::int64_t>::max()}) {
+    const auto stream = config::parse_candidates(
+        "{\"id\":" + std::to_string(id) +
+        ",\"requirements\":[{\"partition\":0,\"period\":100,"
+        "\"duration\":10}],\"partitions\":[]}\n");
+    ASSERT_TRUE(stream.ok()) << stream.errors.front();
+    model::BatchAnalyzer analyzer;
+    const auto verdicts = analyzer.analyze(stream.candidates);
+    ASSERT_EQ(verdicts.size(), 1u);
+    const auto parsed = util::json::parse(verdicts[0].to_ndjson());
+    ASSERT_TRUE(parsed.ok()) << verdicts[0].to_ndjson();
+    EXPECT_EQ(parsed.value->get_int("id", -1), id);
+  }
+}
+
+TEST(CandidateCodec, NegativeIdIsALineError) {
+  const auto stream = config::parse_candidates(
+      "{\"id\":-1,\"requirements\":[{\"partition\":0,\"period\":100,"
+      "\"duration\":10}],\"partitions\":[]}\n");
+  EXPECT_TRUE(stream.candidates.empty());
+  ASSERT_EQ(stream.errors.size(), 1u);
+  EXPECT_NE(stream.errors[0].find("line 1"), std::string::npos);
+  EXPECT_NE(stream.errors[0].find("id must be a non-negative integer"),
+            std::string::npos)
+      << stream.errors[0];
+}
+
 TEST(CandidateCodec, DeeplyNestedLineIsMalformedNotACrash) {
   const std::string deep(200000, '[');
   const auto stream = config::parse_candidates(

@@ -13,8 +13,8 @@ namespace {
 TEST(SamplingPort, WriteOverwritesAndReadDoesNotConsume) {
   SamplingPort port("P", PortDirection::kSource, 32, 100);
   EXPECT_FALSE(port.has_message());
-  ASSERT_TRUE(port.write({"one", 10, PartitionId{0}}));
-  ASSERT_TRUE(port.write({"two", 20, PartitionId{0}}));
+  ASSERT_TRUE(port.write({"one", 10, PartitionId{0}, {}}));
+  ASSERT_TRUE(port.write({"two", 20, PartitionId{0}, {}}));
   const auto r1 = port.read(25);
   ASSERT_TRUE(r1.message.has_value());
   EXPECT_EQ(r1.message->payload, "two");
@@ -25,22 +25,24 @@ TEST(SamplingPort, WriteOverwritesAndReadDoesNotConsume) {
 
 TEST(SamplingPort, MessageBecomesStaleAfterRefreshPeriod) {
   SamplingPort port("P", PortDirection::kSource, 32, 100);
-  ASSERT_TRUE(port.write({"m", 50, PartitionId{0}}));
+  ASSERT_TRUE(port.write({"m", 50, PartitionId{0}, {}}));
   EXPECT_TRUE(port.read(150).valid);   // age == refresh period: still valid
   EXPECT_FALSE(port.read(151).valid);  // one tick too old
 }
 
 TEST(SamplingPort, OversizedMessageRejected) {
   SamplingPort port("P", PortDirection::kSource, 4, 100);
-  EXPECT_FALSE(port.write({"too large", 0, PartitionId{0}}));
+  EXPECT_FALSE(port.write({"too large", 0, PartitionId{0}, {}}));
   EXPECT_FALSE(port.has_message());
 }
 
 TEST(QueuingPort, FifoWithOverflowAccounting) {
   QueuingPort port("Q", PortDirection::kSource, 32, 2);
-  EXPECT_EQ(port.send({"a", 0, PartitionId{0}}), QueuingPort::SendStatus::kOk);
-  EXPECT_EQ(port.send({"b", 0, PartitionId{0}}), QueuingPort::SendStatus::kOk);
-  EXPECT_EQ(port.send({"c", 0, PartitionId{0}}),
+  EXPECT_EQ(port.send({"a", 0, PartitionId{0}, {}}),
+            QueuingPort::SendStatus::kOk);
+  EXPECT_EQ(port.send({"b", 0, PartitionId{0}, {}}),
+            QueuingPort::SendStatus::kOk);
+  EXPECT_EQ(port.send({"c", 0, PartitionId{0}, {}}),
             QueuingPort::SendStatus::kFull);
   EXPECT_EQ(port.overflows(), 1u);
   auto m = port.receive();
@@ -51,7 +53,7 @@ TEST(QueuingPort, FifoWithOverflowAccounting) {
 
 TEST(QueuingPort, OversizedMessageRejectedWithoutOverflow) {
   QueuingPort port("Q", PortDirection::kSource, 2, 2);
-  EXPECT_EQ(port.send({"xxx", 0, PartitionId{0}}),
+  EXPECT_EQ(port.send({"xxx", 0, PartitionId{0}, {}}),
             QueuingPort::SendStatus::kTooLarge);
   EXPECT_EQ(port.overflows(), 0u);
 }
@@ -103,7 +105,7 @@ class RouterTest : public ::testing::Test {
 };
 
 TEST_F(RouterTest, SamplingPropagatesToAllDestinations) {
-  const Message m{"att", 5, PartitionId{0}};
+  const Message m{"att", 5, PartitionId{0}, {}};
   router_.propagate_sampling({PartitionId{0}, "SOUT"}, m);
   const auto r = s_dst_.read(5);
   ASSERT_TRUE(r.message.has_value());
@@ -113,7 +115,7 @@ TEST_F(RouterTest, SamplingPropagatesToAllDestinations) {
 }
 
 TEST_F(RouterTest, PumpMovesFromSourceToEveryDestination) {
-  ASSERT_EQ(src_.send({"m1", 0, PartitionId{0}}),
+  ASSERT_EQ(src_.send({"m1", 0, PartitionId{0}, {}}),
             QueuingPort::SendStatus::kOk);
   router_.pump({PartitionId{0}, "OUT"});
   EXPECT_EQ(src_.depth(), 0u);
@@ -125,11 +127,11 @@ TEST_F(RouterTest, PumpMovesFromSourceToEveryDestination) {
 
 TEST_F(RouterTest, PumpIsAtomicMulticast) {
   // Fill dst1: nothing may move, even though dst2 has space.
-  ASSERT_EQ(dst1_.send({"x", 0, PartitionId{9}}),
+  ASSERT_EQ(dst1_.send({"x", 0, PartitionId{9}, {}}),
             QueuingPort::SendStatus::kOk);
-  ASSERT_EQ(dst1_.send({"y", 0, PartitionId{9}}),
+  ASSERT_EQ(dst1_.send({"y", 0, PartitionId{9}, {}}),
             QueuingPort::SendStatus::kOk);
-  ASSERT_EQ(src_.send({"m", 0, PartitionId{0}}),
+  ASSERT_EQ(src_.send({"m", 0, PartitionId{0}, {}}),
             QueuingPort::SendStatus::kOk);
   router_.pump({PartitionId{0}, "OUT"});
   EXPECT_EQ(src_.depth(), 1u) << "message must wait at the source";
@@ -144,7 +146,7 @@ TEST_F(RouterTest, PumpIsAtomicMulticast) {
 }
 
 TEST_F(RouterTest, PumpAllServicesEveryQueuingChannel) {
-  ASSERT_EQ(src_.send({"m", 0, PartitionId{0}}),
+  ASSERT_EQ(src_.send({"m", 0, PartitionId{0}, {}}),
             QueuingPort::SendStatus::kOk);
   router_.pump_all();
   EXPECT_EQ(dst1_.depth(), 1u);
@@ -167,7 +169,7 @@ TEST_F(RouterTest, RemoteDestinationsGoThroughTheHook) {
     EXPECT_EQ(dest.module, ModuleId{1});
     sent.push_back(m.payload.str());
   };
-  ASSERT_EQ(rout.send({"hello", 0, PartitionId{2}}),
+  ASSERT_EQ(rout.send({"hello", 0, PartitionId{2}, {}}),
             QueuingPort::SendStatus::kOk);
   router_.pump({PartitionId{2}, "ROUT"});
   ASSERT_EQ(sent.size(), 1u);
@@ -176,18 +178,18 @@ TEST_F(RouterTest, RemoteDestinationsGoThroughTheHook) {
 
 TEST_F(RouterTest, DeliverRemoteLandsInTheDestinationPort) {
   router_.deliver_remote({PartitionId{1}, "IN1"},
-                         {"from-afar", 9, PartitionId{0}},
+                         {"from-afar", 9, PartitionId{0}, {}},
                          ChannelKind::kQueuing);
   EXPECT_EQ(dst1_.depth(), 1u);
   router_.deliver_remote({PartitionId{1}, "SIN"},
-                         {"s", 9, PartitionId{0}}, ChannelKind::kSampling);
+                         {"s", 9, PartitionId{0}, {}}, ChannelKind::kSampling);
   EXPECT_TRUE(s_dst_.has_message());
 }
 
 TEST_F(RouterTest, UnconnectedSourceIsAHarmlessNoOp) {
   QueuingPort lonely("LONELY", PortDirection::kSource, 32, 2);
   router_.add_queuing_port(PartitionId{3}, &lonely);
-  ASSERT_EQ(lonely.send({"m", 0, PartitionId{3}}),
+  ASSERT_EQ(lonely.send({"m", 0, PartitionId{3}, {}}),
             QueuingPort::SendStatus::kOk);
   router_.pump({PartitionId{3}, "LONELY"});
   EXPECT_EQ(lonely.depth(), 1u) << "no channel, message stays put";

@@ -24,7 +24,7 @@ TEST(Bus, DeliversAfterPropagationDelay) {
              });
 
   bus.send(ModuleId{0}, {ModuleId{1}, PartitionId{0}, "IN"},
-           {"hello", 0, PartitionId{0}}, ipc::ChannelKind::kQueuing, 0);
+           {"hello", 0, PartitionId{0}, {}}, ipc::ChannelKind::kQueuing, 0);
   bus.tick(0);  // module 0 owns slot 0 (slot_length 1): transmits
   bus.tick(1);
   bus.tick(2);
@@ -47,7 +47,7 @@ TEST(Bus, TdmaSlotOwnershipGatesTransmission) {
 
   // Module 1 wants to send during module 0's slot: it must wait.
   bus.send(ModuleId{1}, {ModuleId{1}, PartitionId{0}, "P"},
-           {"x", 0, PartitionId{0}}, ipc::ChannelKind::kQueuing, 0);
+           {"x", 0, PartitionId{0}, {}}, ipc::ChannelKind::kQueuing, 0);
   for (Ticks t = 0; t < 10; ++t) bus.tick(t);
   EXPECT_EQ(deliveries, 0) << "not module 1's slot yet";
   bus.tick(10);  // slot of module 1
@@ -64,7 +64,7 @@ TEST(Bus, BandwidthPerSlotIsBounded) {
                               ipc::ChannelKind) { ++deliveries; });
   for (int i = 0; i < 5; ++i) {
     bus.send(ModuleId{0}, {ModuleId{0}, PartitionId{0}, "P"},
-             {"x", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+             {"x", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   }
   // A frame transmitted during tick N is delivered no earlier than tick
   // N+1, even with zero propagation delay (the delivery sweep runs before
@@ -85,7 +85,7 @@ TEST(Bus, UnattachedDestinationCountsAsDropped) {
   bus.attach(ModuleId{0}, [](PartitionId, const std::string&,
                              const ipc::Message&, ipc::ChannelKind) {});
   bus.send(ModuleId{0}, {ModuleId{7}, PartitionId{0}, "P"},
-           {"x", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"x", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   bus.tick(0);
   bus.tick(1);
   EXPECT_EQ(bus.stats().frames_dropped, 1u);
@@ -120,7 +120,7 @@ TEST(Bus, QueuedFrameForDetachedDestinationStillBlocksTheWarp) {
   bus.attach(ModuleId{0}, [](PartitionId, const std::string&,
                              const ipc::Message&, ipc::ChannelKind) {});
   bus.send(ModuleId{0}, {ModuleId{7}, PartitionId{0}, "P"},
-           {"x", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"x", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   EXPECT_EQ(bus.idle_ticks(0), 0) << "station has a frame queued";
   EXPECT_EQ(bus.pending_total(), 1u);
   EXPECT_EQ(bus.next_delivery(0), 2) << "transmit at 0, arrive at 0+delay";
@@ -143,7 +143,7 @@ TEST(Bus, NextDeliveryHonoursTdmaSlotBoundaries) {
   bus.attach(ModuleId{1}, [](PartitionId, const std::string&,
                              const ipc::Message&, ipc::ChannelKind) {});
   bus.send(ModuleId{1}, {ModuleId{0}, PartitionId{0}, "P"},
-           {"x", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"x", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   // Before the slot: transmission waits for the slot's first tick.
   EXPECT_EQ(bus.next_delivery(0), 5 + 3);
   EXPECT_EQ(bus.next_delivery(4), 5 + 3) << "one tick before the boundary";
@@ -165,9 +165,9 @@ TEST(Bus, NextDeliveryCoversInFlightAndQueuedFrames) {
                               const ipc::Message&,
                               ipc::ChannelKind) { ++deliveries; });
   bus.send(ModuleId{0}, {ModuleId{0}, PartitionId{0}, "a"},
-           {"x", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"x", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   bus.send(ModuleId{0}, {ModuleId{0}, PartitionId{0}, "b"},
-           {"x", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"x", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   bus.tick(0);  // frame a transmits (1 frame/slot); b stays queued
   EXPECT_EQ(bus.pending_total(), 1u);
   // In-flight frame a arrives at 4; queued frame b transmits at 1 and
@@ -213,9 +213,9 @@ TEST(BusSwitched, SwitchLocalCyclesRunConcurrently) {
   EXPECT_EQ(bus.switch_of(3), 1u);
 
   bus.send(ModuleId{0}, {ModuleId{1}, PartitionId{0}, "P"},
-           {"a", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"a", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   bus.send(ModuleId{2}, {ModuleId{3}, PartitionId{0}, "P"},
-           {"b", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"b", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   bus.tick(0);  // both switches' slot-0 owners transmit concurrently
   EXPECT_EQ(bus.pending_total(), 0u);
   bus.tick(1);
@@ -240,9 +240,9 @@ TEST(BusSwitched, CrossSwitchFramesPayTheTrunkHop) {
   // one arrives after propagation_delay, the cross-switch one two ticks
   // later (the trunk hop).
   bus.send(ModuleId{0}, {ModuleId{3}, PartitionId{0}, "P"},
-           {"cross", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"cross", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   bus.send(ModuleId{0}, {ModuleId{1}, PartitionId{0}, "P"},
-           {"local", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"local", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   bus.tick(0);
   bus.tick(1);
   ASSERT_EQ(order.size(), 1u) << "only the intra-switch frame is due";
@@ -272,9 +272,9 @@ TEST(BusSwitched, FaultDelayedFrameIsOvertakenByALaterTransmission) {
   });
 
   bus.send(ModuleId{0}, {ModuleId{1}, PartitionId{0}, "P"},
-           {"first", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"first", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   bus.send(ModuleId{0}, {ModuleId{1}, PartitionId{0}, "P"},
-           {"second", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"second", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   bus.tick(0);  // "first" transmits, delayed: arrives at 0 + 1 + 5 = 6
   // "second" is still queued; station 0's next slot is tick 2 (cycle 2),
   // so its arrival at 3 -- not the delayed in-flight frame at 6 -- is the
@@ -318,7 +318,7 @@ TEST(BusSwitched, EmptyVirtualLinksAreFreeForTheWarpQueries) {
   // The (1, 1) self-pair has no VL: the frame is carried but no VL counter
   // moves, and the silent reservations stay silent.
   bus.send(ModuleId{1}, {ModuleId{1}, PartitionId{0}, "P"},
-           {"x", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"x", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   bus.tick(1);  // station 1 owns switch 0's slot 1
   bus.tick(2);
   EXPECT_EQ(deliveries, 1);
@@ -341,9 +341,9 @@ TEST(BusSwitched, VlMinGapGatesHeadOfLineTransmissions) {
       {ModuleId{0}, ModuleId{1}, /*min_gap=*/6, /*jitter_budget=*/100});
 
   bus.send(ModuleId{0}, {ModuleId{1}, PartitionId{0}, "P"},
-           {"a", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"a", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   bus.send(ModuleId{0}, {ModuleId{1}, PartitionId{0}, "P"},
-           {"b", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"b", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   for (now = 0; now <= 8; ++now) bus.tick(now);
   // Station 0 owns even ticks. "a" transmits at 0; "b" is head-of-line
   // gated at 0 (same slot), 2 and 4, then rides the first slot at or after
@@ -370,7 +370,7 @@ TEST(BusSwitched, VlJitterBudgetCountsQueueWait) {
       {ModuleId{1}, ModuleId{0}, /*min_gap=*/0, /*jitter_budget=*/3});
 
   bus.send(ModuleId{1}, {ModuleId{0}, PartitionId{0}, "P"},
-           {"x", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"x", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   for (Ticks t = 0; t <= 6; ++t) bus.tick(t);
   EXPECT_EQ(deliveries, 1);
   EXPECT_EQ(bus.vl_stats(vl).jitter_violations, 1u);
@@ -395,7 +395,7 @@ TEST(BusSwitched, NextDeliveryWaitsOutTheSwitchLocalSlot) {
   // Station 3 is switch 1's local slot 1: it owns [5, 10) of each 10-tick
   // switch cycle.
   bus.send(ModuleId{3}, {ModuleId{2}, PartitionId{0}, "P"},
-           {"x", 0, PartitionId{0}}, ipc::ChannelKind::kSampling, 0);
+           {"x", 0, PartitionId{0}, {}}, ipc::ChannelKind::kSampling, 0);
   EXPECT_EQ(bus.next_delivery(0), 5 + 2);
   EXPECT_EQ(bus.next_delivery(4), 5 + 2);
   EXPECT_EQ(bus.next_delivery(9), 9 + 2) << "inside the slot";

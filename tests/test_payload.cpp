@@ -94,9 +94,9 @@ TEST(Payload, PoolRecyclesHeapBlocks) {
 TEST(SamplingPort, RefusesOversizedWriteAndKeepsSlotIntact) {
   ipc::SamplingPort port{"S", ipc::PortDirection::kDestination, 8,
                          /*refresh_period=*/10};
-  ASSERT_TRUE(port.write({"12345678", 0, PartitionId{0}}));
+  ASSERT_TRUE(port.write({"12345678", 0, PartitionId{0}, {}}));
 
-  EXPECT_FALSE(port.write({"123456789", 1, PartitionId{0}}))
+  EXPECT_FALSE(port.write({"123456789", 1, PartitionId{0}, {}}))
       << "9 bytes into an 8-byte port";
   const auto result = port.read(1);
   ASSERT_TRUE(result.message.has_value());
@@ -107,10 +107,10 @@ TEST(SamplingPort, RefusesOversizedWriteAndKeepsSlotIntact) {
 
 TEST(QueuingPort, RefusesOversizedSend) {
   ipc::QueuingPort port{"Q", ipc::PortDirection::kSource, 4, 2};
-  EXPECT_EQ(port.send({"12345", 0, PartitionId{0}}),
+  EXPECT_EQ(port.send({"12345", 0, PartitionId{0}, {}}),
             ipc::QueuingPort::SendStatus::kTooLarge);
   EXPECT_EQ(port.depth(), 0u);
-  EXPECT_EQ(port.send({"1234", 0, PartitionId{0}}),
+  EXPECT_EQ(port.send({"1234", 0, PartitionId{0}, {}}),
             ipc::QueuingPort::SendStatus::kOk);
 }
 
@@ -145,7 +145,8 @@ std::vector<std::string> fly_faulted_bus() {
         bytes_of(i % 2 == 0 ? 16 : ipc::Payload::kInlineBytes + 40,
                  static_cast<char>('A' + i));
     bus.send(ModuleId{0}, {ModuleId{1}, PartitionId{0}, "IN"},
-             {payload, now, PartitionId{0}}, ipc::ChannelKind::kQueuing, now);
+             {payload, now, PartitionId{0}, {}}, ipc::ChannelKind::kQueuing,
+             now);
   }
   for (; now < 30; ++now) bus.tick(now);
   return deliveries;

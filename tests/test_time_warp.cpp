@@ -6,14 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <string>
+#include <variant>
 
 #include "config/fig8.hpp"
 #include "fi/campaign.hpp"
 #include "fi/injector.hpp"
 #include "mixed_pos_config.hpp"
 #include "model/generator.hpp"
+#include "pmk/spatial.hpp"
 #include "pos/workload.hpp"
 #include "system/module.hpp"
 #include "system/world.hpp"
@@ -164,6 +167,40 @@ TEST(TimeWarp, Fig8MissionWithFaultAndModeSwitchMatches) {
   EXPECT_NE(stepped.spans.find("\"anomalies\""), std::string::npos);
 }
 
+// The warp folds busy ticks too: on the Fig. 8 mission (faulty process
+// started, online plane on, a chi_1 -> chi_2 -> chi_1 round trip) only the
+// ticks with an event are stepped -- window starts, op boundaries, wakes,
+// deadline edges, window closes. The count is deterministic: 645 ticks in
+// 16 MTFs, 40.3 of 1300 per MTF. The bound is 42 per MTF.
+TEST(TimeWarp, Fig8StepsOnlyEventTicks) {
+  auto config = scenarios::fig8_config();
+  config.telemetry.online.enabled = true;
+  system::Module module(std::move(config));
+  const PartitionId aocs = module.partition_id("AOCS");
+  module.start_process_by_name(aocs, scenarios::kFaultyProcessName);
+  module.run(scenarios::kFig8Mtf);
+  const system::Module::WarpStats before = module.warp_stats();
+  constexpr int kMtfs = 16;
+  for (int k = 0; k < kMtfs; ++k) {
+    if (k == 3 || k == 11) {
+      const ScheduleId next{
+          module.apex(aocs).get_module_schedule_status().current_schedule ==
+                  ScheduleId{0}
+              ? 1
+              : 0};
+      ASSERT_EQ(module.apex(aocs).set_module_schedule(next),
+                apex::ReturnCode::kNoError);
+    }
+    module.run(scenarios::kFig8Mtf);
+  }
+  const std::uint64_t stepped =
+      module.warp_stats().stepped_ticks - before.stepped_ticks;
+  EXPECT_LE(stepped, 42u * kMtfs) << stepped << " ticks stepped in " << kMtfs
+                                  << " MTFs";
+  EXPECT_EQ(module.apex(aocs).get_module_schedule_status().current_schedule,
+            ScheduleId{0});
+}
+
 TEST(TimeWarp, Fig8FlightRecorderMatches) {
   auto mission = [](bool warp) {
     auto config = scenarios::fig8_config();
@@ -179,72 +216,204 @@ TEST(TimeWarp, Fig8FlightRecorderMatches) {
   EXPECT_EQ(mission(false), mission(true));
 }
 
-// Randomized missions: partitions with generated PSTs and a mix of
-// periodic, timed-wait and logging processes at varying density.
+// Randomized missions: partitions with generated PSTs on one core or two,
+// under both POS policies, running a mix of periodic, timed-wait, logging,
+// memory-touching, preemption-locking and busy-idle processes. Computes run
+// from 1 to 300 ticks, so they cross window ends and MTF boundaries; a
+// system partition on core 0 requests schedule switches between two of its
+// computes, so long computes also straddle a pending switch. Random
+// priorities put timed wakes of higher-priority processes in the middle of
+// lower-priority computes.
 system::ModuleConfig random_mission(std::uint64_t seed) {
   util::Rng rng(seed);
   system::ModuleConfig config;
   config.name = "random_" + std::to_string(seed);
   config.trace_enabled = true;
 
-  const int nparts = static_cast<int>(rng.uniform(1, 3));
-  std::vector<model::ScheduleRequirement> requirements;
+  const int ncores = rng.chance(0.3) ? 2 : 1;
+  const int nparts = static_cast<int>(rng.uniform(ncores, 3));
+  const bool switcher = rng.chance(0.4);
+  const auto compute_ticks = [&rng] {
+    return rng.chance(0.3) ? rng.uniform(13, 300) : rng.uniform(1, 12);
+  };
+  std::vector<std::vector<model::ScheduleRequirement>> requirements(ncores);
   for (int i = 0; i < nparts; ++i) {
     const Ticks period = 100 << rng.uniform(0, 2);  // 100 / 200 / 400
     const Ticks duration = rng.uniform(10, period / 5);
-    requirements.push_back({PartitionId{i}, period, duration});
+    requirements[static_cast<std::size_t>(i % ncores)].push_back(
+        {PartitionId{i}, period, duration});
 
     system::PartitionConfig partition;
     partition.name = "part" + std::to_string(i);
+    if (rng.chance(0.3)) partition.pos_kind = pos::Policy::kRoundRobin;
     const int nprocs = static_cast<int>(rng.uniform(1, 2));
     for (int p = 0; p < nprocs; ++p) {
       system::ProcessConfig process;
       process.attrs.name = "proc" + std::to_string(p);
-      process.attrs.priority = 10 + p;
+      process.attrs.priority = static_cast<Priority>(10 + rng.uniform(0, 2));
       pos::ScriptBuilder script;
-      if (rng.chance(0.5)) {
+      const std::int64_t kind = rng.uniform(0, 9);
+      if (kind < 4) {
         // Periodic worker; occasionally too slow for its deadline.
         const Ticks pperiod = period * rng.uniform(1, 4);
         process.attrs.period = pperiod;
         process.attrs.time_capacity =
             rng.chance(0.2) ? pperiod / 4 : pperiod;
-        script.compute(rng.uniform(1, 12));
+        if (rng.chance(0.2)) script.memory_access(pmk::kAppDataBase, true);
+        const bool locked = rng.chance(0.25);
+        if (locked) script.lock_preemption();
+        script.compute(compute_ticks());
+        if (locked) script.unlock_preemption();
         if (rng.chance(0.3)) script.log("beat");
         script.periodic_wait();
-      } else {
+      } else if (kind < 8) {
         // Delay-loop worker (timed waits exercise next_wake()).
-        script.compute(rng.uniform(1, 6));
+        script.compute(compute_ticks());
+        if (rng.chance(0.2)) script.memory_access(pmk::kAppDataBase, false);
         script.timed_wait(rng.uniform(20, 600));
         if (rng.chance(0.3)) script.log("tw");
+      } else {
+        // Busy-idle process: an empty script is always runnable; lowest
+        // priority so the others still get the processor under kRt.
+        process.attrs.priority = 20;
       }
       process.attrs.script = script.build();
       partition.processes.push_back(std::move(process));
     }
+    if (i == 0 && switcher) {
+      partition.system_partition = true;
+      system::ProcessConfig moder;
+      moder.attrs.name = "moder";
+      moder.attrs.period = period * 2;
+      moder.attrs.time_capacity = period * 2;
+      moder.attrs.priority = 9;
+      moder.attrs.script = pos::ScriptBuilder{}
+                               .compute(rng.uniform(1, 40))
+                               .set_module_schedule(1)
+                               .compute(compute_ticks())
+                               .periodic_wait()
+                               .compute(rng.uniform(1, 40))
+                               .set_module_schedule(0)
+                               .compute(compute_ticks())
+                               .periodic_wait()
+                               .build();
+      partition.processes.push_back(std::move(moder));
+    }
     config.partitions.push_back(std::move(partition));
   }
 
-  model::GeneratorInput input;
-  input.requirements = requirements;
-  input.mtf = 0;  // lcm of the periods
-  input.id = ScheduleId{0};
-  input.name = "generated";
-  auto schedule = model::generate_schedule(input);
-  EXPECT_TRUE(schedule.has_value()) << "seed " << seed << " infeasible";
-  config.schedules = {*schedule};
+  // Core c runs schedules 2c (initial) and 2c + 1, which re-draws the
+  // window lengths, so a switch moves every window boundary.
+  for (int c = 0; c < ncores; ++c) {
+    std::vector<model::Schedule> schedules;
+    for (int alt = 0; alt < 2; ++alt) {
+      model::GeneratorInput input;
+      input.requirements = requirements[static_cast<std::size_t>(c)];
+      if (alt == 1) {
+        for (auto& r : input.requirements) {
+          r.duration = rng.uniform(10, r.period / 5);
+        }
+      }
+      input.mtf = 0;  // lcm of the periods
+      input.id = ScheduleId{2 * c + alt};
+      input.name = "generated" + std::to_string(2 * c + alt);
+      auto schedule = model::generate_schedule(input);
+      EXPECT_TRUE(schedule.has_value()) << "seed " << seed << " infeasible";
+      schedules.push_back(*schedule);
+    }
+    if (ncores == 1) {
+      config.schedules = std::move(schedules);
+    } else {
+      config.cores.push_back({std::move(schedules), ScheduleId{2 * c}});
+    }
+  }
   return config;
 }
 
 TEST(TimeWarp, RandomizedMissionsAreEquivalent) {
   std::uint64_t total_warped = 0;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+  // Seeds drawing each feature: two cores, a round-robin pair, a locked
+  // compute, a compute over 12 ticks, a busy-idle process, a switcher.
+  std::array<int, 6> drawn{};
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const system::ModuleConfig config = random_mission(seed);
+    std::array<bool, 6> has{};
+    has[0] = config.cores.size() == 2;
+    for (const system::PartitionConfig& partition : config.partitions) {
+      has[1] |= partition.pos_kind == pos::Policy::kRoundRobin &&
+                partition.processes.size() == 2;
+      has[5] |= partition.system_partition;
+      for (const system::ProcessConfig& process : partition.processes) {
+        has[4] |= process.attrs.script.empty();
+        for (const pos::Op& op : process.attrs.script) {
+          has[2] |= std::holds_alternative<pos::OpLockPreemption>(op);
+          const auto* compute = std::get_if<pos::OpCompute>(&op);
+          has[3] |= compute != nullptr && compute->ticks > 12;
+        }
+      }
+    }
+    for (std::size_t f = 0; f < has.size(); ++f) drawn[f] += has[f] ? 1 : 0;
+
     const Ticks span = 6'000;
-    const RunResult stepped = run_mission(random_mission(seed), false, span);
-    const RunResult warped = run_mission(random_mission(seed), true, span);
+    const RunResult stepped = run_mission(config, false, span);
+    const RunResult warped = run_mission(config, true, span);
     expect_equivalent(stepped, warped, "seed " + std::to_string(seed));
     total_warped += warped.warp.warped_ticks;
   }
-  // Across the suite the engine must have found real headroom.
+  // Across the suite the engine must have found real headroom, and every
+  // feature must have been drawn, or the suite does not test it.
   EXPECT_GT(total_warped, 0u);
+  for (std::size_t f = 0; f < drawn.size(); ++f) {
+    EXPECT_GE(drawn[f], 10) << "feature " << f << " drawn in " << drawn[f]
+                           << " of 60 seeds";
+  }
+}
+
+// Two cores: each tick re-selects the MMU context of every stepped
+// partition in core order, and each switch flushes the TLB. A warp over a
+// span where both cores run a partition must leave the TLB as those
+// per-tick switches would: a stale entry turns a miss into a hit.
+TEST(TimeWarp, TwoCoreMmuSwitchesMatch) {
+  auto config = [] {
+    system::ModuleConfig c;
+    c.name = "two_core_mmu";
+    for (int i = 0; i < 2; ++i) {
+      system::PartitionConfig partition;
+      partition.name = "P" + std::to_string(i);
+      system::ProcessConfig process;
+      process.attrs.name = "worker";
+      process.attrs.period = 100;
+      process.attrs.time_capacity = 100;
+      process.attrs.priority = 10;
+      // P0 is busy-idle; P1 fills the TLB, sleeps past core 0's window
+      // end at tick 50, and reads the page again.
+      if (i == 1) {
+        process.attrs.script = pos::ScriptBuilder{}
+                                   .memory_access(pmk::kAppDataBase, true)
+                                   .timed_wait(60)
+                                   .memory_access(pmk::kAppDataBase, false)
+                                   .periodic_wait()
+                                   .build();
+      }
+      partition.processes.push_back(std::move(process));
+      c.partitions.push_back(std::move(partition));
+    }
+    for (int i = 0; i < 2; ++i) {
+      model::Schedule s;
+      s.id = ScheduleId{i};
+      s.mtf = 100;
+      const Ticks length = i == 0 ? 50 : 100;
+      s.requirements = {{PartitionId{i}, 100, length}};
+      s.windows = {{PartitionId{i}, 0, length}};
+      c.cores.push_back({{s}, ScheduleId{i}});
+    }
+    return c;
+  };
+  const RunResult stepped = run_mission(config(), false, 1'000);
+  const RunResult warped = run_mission(config(), true, 1'000);
+  expect_equivalent(stepped, warped, "two_core_mmu");
+  EXPECT_GT(warped.warp.warped_ticks, 500u);
+  EXPECT_NE(stepped.metrics.find("tlb_misses"), std::string::npos);
 }
 
 TEST(TimeWarp, RunZeroAndRunUntilPastAreNoOps) {

@@ -37,7 +37,7 @@ struct Node {
 using NodeList = util::IntrusiveList<Node, &Node::hook>;
 
 TEST(IntrusiveList, PushPopMaintainsOrder) {
-  Node a{1}, b{2}, c{3};
+  Node a{1, {}}, b{2, {}}, c{3, {}};
   NodeList list;
   list.push_back(a);
   list.push_back(b);
@@ -50,7 +50,7 @@ TEST(IntrusiveList, PushPopMaintainsOrder) {
 }
 
 TEST(IntrusiveList, UnlinkRemovesFromMiddle) {
-  Node a{1}, b{2}, c{3};
+  Node a{1, {}}, b{2, {}}, c{3, {}};
   NodeList list;
   list.push_back(a);
   list.push_back(b);
@@ -64,10 +64,10 @@ TEST(IntrusiveList, UnlinkRemovesFromMiddle) {
 
 TEST(IntrusiveList, DestructorUnlinksAutomatically) {
   NodeList list;
-  Node a{1};
+  Node a{1, {}};
   list.push_back(a);
   {
-    Node b{2};
+    Node b{2, {}};
     list.push_back(b);
     EXPECT_EQ(list.size(), 2u);
   }
@@ -76,7 +76,7 @@ TEST(IntrusiveList, DestructorUnlinksAutomatically) {
 }
 
 TEST(IntrusiveList, InsertBeforeSupportsSortedInsertion) {
-  Node a{10}, b{30}, c{20};
+  Node a{10, {}}, b{30, {}}, c{20, {}};
   NodeList list;
   list.push_back(a);
   list.push_back(b);
@@ -84,7 +84,7 @@ TEST(IntrusiveList, InsertBeforeSupportsSortedInsertion) {
   std::vector<int> keys;
   for (Node& n : list) keys.push_back(n.key);
   EXPECT_EQ(keys, (std::vector<int>{10, 20, 30}));
-  Node d{40};
+  Node d{40, {}};
   list.insert_before(nullptr, d);  // nullptr = end
   EXPECT_EQ(list.back().key, 40);
 }
