@@ -2,11 +2,13 @@
 //
 // Measured: cost of validating a PST against eqs. (20)-(23), of generating
 // a PST by EDF construction, and of the process-level response-time
-// analysis, each as a function of the number of partitions. These tools run
+// analysis, each as a function of the number of partitions; then the batch
+// service and the candidate NDJSON ingest in front of it. These tools run
 // at integration time, but their scalability determines how large a design
 // space an integrator can explore.
 #include <benchmark/benchmark.h>
 
+#include "config/candidates.hpp"
 #include "model/batch.hpp"
 #include "model/generator.hpp"
 #include "model/schedulability.hpp"
@@ -144,5 +146,26 @@ void BM_BatchAnalyze_Service(benchmark::State& state) {
   state.counters["cache_hit_rate"] = hit_rate;
 }
 BENCHMARK(BM_BatchAnalyze_Service)->Arg(256)->Unit(benchmark::kMillisecond);
+
+// Ingest ahead of the service: config::parse_candidates over one NDJSON
+// stream of N generated candidates (the air-schedule --in path up to the
+// analyzer). The text is built outside the timed region.
+void BM_ParseCandidates(benchmark::State& state) {
+  std::string text;
+  for (const auto& c : model::generate_candidates(bench_spec(state.range(0)))) {
+    text += config::candidate_to_jsonl(c);
+    text += '\n';
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(config::parse_candidates(text));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+  state.counters["candidates_per_second"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(state.range(0)),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ParseCandidates)->Arg(256)->Unit(benchmark::kMillisecond);
 
 }  // namespace

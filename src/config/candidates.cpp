@@ -1,121 +1,226 @@
 #include "config/candidates.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+
 #include "util/json.hpp"
 
 namespace air::config {
 
 namespace {
 
-using util::json::Value;
+using util::json::Reader;
+using Kind = Reader::Kind;
 
-[[nodiscard]] Ticks ticks_of(const Value& v, std::string_view key,
-                             Ticks fallback) {
-  const std::int64_t raw = v.get_int(key, fallback);
+/// How an array member turned up in its object.
+enum class Member : std::uint8_t { kAbsent, kArray, kOther };
+
+/// Reads the object at the reader, calling `read(i)` on the value of the
+/// first member named `keys[i]`; every other value is skipped, later
+/// duplicates too (the first of duplicate keys wins). A value that is not
+/// an object is skipped whole, so its fields keep their fallbacks.
+template <std::size_t N, typename Read>
+bool read_members(Reader& r, const std::array<std::string_view, N>& keys,
+                  Read&& read) {
+  static_assert(N <= 32);
+  if (r.peek() != Kind::kObject) return r.skip_value();
+  if (!r.begin_object()) return false;
+  std::uint32_t seen = 0;
+  std::string_view key;
+  while (r.next_key(key)) {
+    std::size_t i = 0;
+    while (i < N && keys[i] != key) ++i;
+    const bool first = i < N && (seen & (1u << i)) == 0;
+    if (first) seen |= 1u << i;
+    if (!(first ? read(i) : r.skip_value())) return false;
+  }
+  return !r.failed();
+}
+
+/// A number sets `out` (a double truncated and saturated); any other value
+/// leaves the fallback in it.
+bool read_int(Reader& r, std::int64_t& out) {
+  if (r.peek() != Kind::kNumber) return r.skip_value();
+  Reader::Number n;
+  if (!r.read_number(n)) return false;
+  out = n.as_int();
+  return true;
+}
+
+bool read_string(Reader& r, std::string& out) {
+  return r.peek() == Kind::kString ? r.read_string(out) : r.skip_value();
+}
+
+/// An array calls `element()` per element; any other value is skipped.
+template <typename Element>
+bool read_array(Reader& r, Member& member, Element&& element) {
+  if (r.peek() != Kind::kArray) {
+    member = Member::kOther;
+    return r.skip_value();
+  }
+  member = Member::kArray;
+  if (!r.begin_array()) return false;
+  while (r.next_element()) {
+    if (!element()) return false;
+  }
+  return !r.failed();
+}
+
+[[nodiscard]] PartitionId partition_of(std::int64_t raw) {
+  return PartitionId{static_cast<std::int32_t>(raw)};
+}
+
+/// -1 (any negative) encodes "infinite".
+[[nodiscard]] Ticks ticks_of(std::int64_t raw) {
   return raw < 0 ? kInfiniteTime : raw;
 }
 
-[[nodiscard]] std::string require_array(const Value& v, std::string_view key,
-                                        const Value*& out) {
-  out = v.find(key);
-  if (out == nullptr) return std::string{key} + " missing";
-  if (!out->is_array()) return std::string{key} + " must be an array";
-  return {};
+/// A requirement or a window: a partition and two tick counts, under
+/// `keys` in that order.
+bool read_partition_ticks(Reader& r,
+                          const std::array<std::string_view, 3>& keys,
+                          PartitionId& partition, Ticks& first,
+                          Ticks& second) {
+  std::int64_t raw = 0;
+  const bool ok = read_members(r, keys, [&](std::size_t key) {
+    return read_int(r, key == 0 ? raw : key == 1 ? first : second);
+  });
+  partition = partition_of(raw);
+  return ok;
+}
+
+bool read_process(Reader& r, model::ProcessModel& proc) {
+  static constexpr std::array<std::string_view, 6> kKeys = {
+      "name", "period", "deadline", "priority", "wcet", "periodic"};
+  std::int64_t period = 0;
+  std::int64_t deadline = -1;
+  std::int64_t priority = 0;
+  const bool ok = read_members(r, kKeys, [&](std::size_t key) {
+    switch (key) {
+      case 0: return read_string(r, proc.name);
+      case 1: return read_int(r, period);
+      case 2: return read_int(r, deadline);
+      case 3: return read_int(r, priority);
+      case 4: return read_int(r, proc.wcet);
+      default:
+        return r.peek() == Kind::kBool ? r.read_bool(proc.periodic)
+                                       : r.skip_value();
+    }
+  });
+  proc.period = ticks_of(period);
+  proc.deadline = ticks_of(deadline);
+  proc.priority = static_cast<Priority>(priority);
+  return ok;
+}
+
+/// `bad_processes` is set when "processes" is there but not an array.
+bool read_partition(Reader& r, model::PartitionModel& pm,
+                    bool& bad_processes) {
+  static constexpr std::array<std::string_view, 3> kKeys = {
+      "id", "name", "processes"};
+  std::int64_t id = 0;
+  bool named = false;
+  Member processes = Member::kAbsent;
+  const bool ok = read_members(r, kKeys, [&](std::size_t key) {
+    switch (key) {
+      case 0: return read_int(r, id);
+      case 1:
+        named = r.peek() == Kind::kString;
+        return read_string(r, pm.name);
+      default:
+        return read_array(r, processes, [&] {
+          return read_process(r, pm.processes.emplace_back());
+        });
+    }
+  });
+  pm.id = partition_of(id);
+  // The name falls back on the id wherever in the object the id stood.
+  if (!named) pm.name = "P" + std::to_string(pm.id.value());
+  bad_processes = bad_processes || processes == Member::kOther;
+  return ok;
 }
 
 }  // namespace
 
 CandidateParse parse_candidate(std::string_view line) {
-  CandidateParse result;
-  const auto parsed = util::json::parse(line);
-  if (!parsed.ok()) {
-    result.error = parsed.error->to_string();
-    return result;
-  }
-  const Value& root = *parsed.value;
-  if (!root.is_object()) {
-    result.error = "candidate must be a JSON object";
-    return result;
-  }
-
-  // Verdict lines echo the id, and util::json reads integers only within
-  // the int64 range: a negative id would come back out as an unreadable
-  // 2^64 - |id|.
-  const std::int64_t id = root.get_int("id", 0);
-  if (id < 0) {
-    result.error = "id must be a non-negative integer";
-    return result;
-  }
+  static constexpr std::array<std::string_view, 6> kKeys = {
+      "id", "name", "mtf", "requirements", "windows", "partitions"};
+  static constexpr std::array<std::string_view, 3> kRequirementKeys = {
+      "partition", "period", "duration"};
+  static constexpr std::array<std::string_view, 3> kWindowKeys = {
+      "partition", "offset", "duration"};
+  Reader r(line);
   model::Candidate candidate;
-  candidate.id = static_cast<std::uint64_t>(id);
-  candidate.name = root.get_string("name", "");
-  candidate.mtf = root.get_int("mtf", 0);
-
-  const Value* reqs = nullptr;
-  if (std::string err = require_array(root, "requirements", reqs);
-      !err.empty()) {
-    result.error = std::move(err);
-    return result;
-  }
-  for (const Value& r : reqs->as_array()) {
-    model::ScheduleRequirement req;
-    req.partition =
-        PartitionId{static_cast<std::int32_t>(r.get_int("partition", 0))};
-    req.period = r.get_int("period", 0);
-    req.duration = r.get_int("duration", 0);
-    candidate.requirements.push_back(req);
-  }
-
-  if (const Value* windows = root.find("windows"); windows != nullptr) {
-    if (!windows->is_array()) {
-      result.error = "windows must be an array";
-      return result;
+  const bool object = r.peek() == Kind::kObject;
+  std::int64_t id = 0;
+  Member requirements = Member::kAbsent;
+  Member windows = Member::kAbsent;
+  Member partitions = Member::kAbsent;
+  bool bad_processes = false;
+  const auto member = [&](std::size_t key) {
+    switch (key) {
+      case 0: return read_int(r, id);
+      case 1: return read_string(r, candidate.name);
+      case 2: return read_int(r, candidate.mtf);
+      case 3:
+        return read_array(r, requirements, [&] {
+          model::ScheduleRequirement& q = candidate.requirements.emplace_back();
+          return read_partition_ticks(r, kRequirementKeys, q.partition,
+                                      q.period, q.duration);
+        });
+      case 4:
+        return read_array(r, windows, [&] {
+          model::Window& w = candidate.windows.emplace_back();
+          return read_partition_ticks(r, kWindowKeys, w.partition, w.offset,
+                                      w.duration);
+        });
+      default:
+        return read_array(r, partitions, [&] {
+          return read_partition(r, candidate.partitions.emplace_back(),
+                                bad_processes);
+        });
     }
-    for (const Value& w : windows->as_array()) {
-      model::Window window;
-      window.partition =
-          PartitionId{static_cast<std::int32_t>(w.get_int("partition", 0))};
-      window.offset = w.get_int("offset", 0);
-      window.duration = w.get_int("duration", 0);
-      candidate.windows.push_back(window);
-    }
-  }
+  };
+  const bool parsed = read_members(r, kKeys, member) && r.finish();
 
-  const Value* partitions = nullptr;
-  if (std::string err = require_array(root, "partitions", partitions);
-      !err.empty()) {
-    result.error = std::move(err);
-    return result;
+  // The whole line is read before any schema check, so a syntax error
+  // anywhere wins; the schema errors then come in this fixed order.
+  CandidateParse result;
+  if (!parsed) {
+    result.error = r.error()->to_string();
+  } else if (!object) {
+    result.error = "candidate must be a JSON object";
+  } else if (id < 0) {
+    // Verdict lines echo the id, and util::json reads integers only within
+    // the int64 range: a negative id would come back out as an unreadable
+    // 2^64 - |id|.
+    result.error = "id must be a non-negative integer";
+  } else if (requirements != Member::kArray) {
+    result.error = requirements == Member::kAbsent
+                       ? "requirements missing"
+                       : "requirements must be an array";
+  } else if (windows == Member::kOther) {
+    result.error = "windows must be an array";
+  } else if (partitions != Member::kArray) {
+    result.error = partitions == Member::kAbsent
+                       ? "partitions missing"
+                       : "partitions must be an array";
+  } else if (bad_processes) {
+    result.error = "processes must be an array";
+  } else {
+    candidate.id = static_cast<std::uint64_t>(id);
+    result.candidate = std::move(candidate);
   }
-  for (const Value& p : partitions->as_array()) {
-    model::PartitionModel pm;
-    pm.id = PartitionId{static_cast<std::int32_t>(p.get_int("id", 0))};
-    pm.name = p.get_string("name", "P" + std::to_string(pm.id.value()));
-    if (const Value* procs = p.find("processes"); procs != nullptr) {
-      if (!procs->is_array()) {
-        result.error = "processes must be an array";
-        return result;
-      }
-      for (const Value& q : procs->as_array()) {
-        model::ProcessModel proc;
-        proc.name = q.get_string("name", "");
-        proc.period = ticks_of(q, "period", 0);
-        proc.deadline = ticks_of(q, "deadline", -1);
-        proc.priority =
-            static_cast<Priority>(q.get_int("priority", 0));
-        proc.wcet = q.get_int("wcet", 0);
-        proc.periodic = q.get_bool("periodic", true);
-        pm.processes.push_back(std::move(proc));
-      }
-    }
-    candidate.partitions.push_back(std::move(pm));
-  }
-
-  result.candidate = std::move(candidate);
   return result;
 }
 
 CandidateStream parse_candidates(std::string_view text) {
   CandidateStream stream;
+  // One candidate per line at most.
+  stream.candidates.reserve(
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) +
+      (!text.empty() && text.back() != '\n' ? 1 : 0));
   std::size_t line_no = 0;
   std::size_t start = 0;
   while (start <= text.size()) {

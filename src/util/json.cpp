@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -8,15 +9,67 @@
 
 namespace air::util::json {
 
-std::int64_t Value::as_int() const {
-  if (is_int()) return std::get<std::int64_t>(data_);
-  // Saturate: casting a double outside the int64 range is undefined.
+namespace {
+
+[[nodiscard]] bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+// Saturate: casting a double outside the int64 range is undefined.
+[[nodiscard]] std::int64_t saturate(double d) {
   constexpr double kTwo63 = 9223372036854775808.0;
-  const double d = std::get<double>(data_);
   if (d >= kTwo63) return std::numeric_limits<std::int64_t>::max();
   if (d < -kTwo63) return std::numeric_limits<std::int64_t>::min();
   if (std::isnan(d)) return 0;
   return static_cast<std::int64_t>(d);
+}
+
+/// Appends the string body `raw` (between the quotes, escapes already
+/// validated by the Reader) to `out`, unescaped.
+void unescape(std::string_view raw, std::string& out) {
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const char c = raw[i];
+    if (c != '\\') {
+      out += c;
+      continue;
+    }
+    const char esc = raw[++i];
+    switch (esc) {
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        unsigned code = 0;
+        for (int k = 0; k < 4; ++k) {
+          const char h = raw[++i];
+          code = code * 16 +
+                 static_cast<unsigned>(h <= '9' ? h - '0'
+                                                : (std::tolower(h) - 'a' + 10));
+        }
+        // UTF-8 encode the BMP code point (surrogate pairs unsupported;
+        // config files are plain ASCII in practice).
+        if (code < 0x80) {
+          out += static_cast<char>(code);
+        } else if (code < 0x800) {
+          out += static_cast<char>(0xC0 | (code >> 6));
+          out += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+          out += static_cast<char>(0xE0 | (code >> 12));
+          out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          out += static_cast<char>(0x80 | (code & 0x3F));
+        }
+        break;
+      }
+      default: out += esc; break;  // '"', '\\' and '/' stand for themselves
+    }
+  }
+}
+
+}  // namespace
+
+std::int64_t Value::as_int() const {
+  if (is_int()) return std::get<std::int64_t>(data_);
+  return saturate(std::get<double>(data_));
 }
 
 double Value::as_double() const {
@@ -27,7 +80,7 @@ double Value::as_double() const {
 const Value* Value::find(std::string_view key) const {
   if (!is_object()) return nullptr;
   const auto& obj = as_object();
-  auto it = obj.find(std::string{key});
+  auto it = obj.find(key);
   return it != obj.end() ? &it->second : nullptr;
 }
 
@@ -75,6 +128,299 @@ void append_string(std::string& out, std::string_view text) {
   out += '"';
 }
 
+// ---------- Reader ----------
+//
+// The private helpers are defined `inline`: they run on every token.
+
+std::int64_t Reader::Number::as_int() const {
+  return integral ? integer : saturate(real);
+}
+
+inline void Reader::skip_ws() {
+  const std::size_t size = text_.size();
+  std::size_t p = pos_;
+  while (p < size) {
+    const char c = text_[p];
+    if (c == ' ' || c == '\n' || c == '\t' || c == '\r') {
+      ++p;
+    } else if (c == '/' && p + 1 < size && text_[p + 1] == '/') {
+      // Allow // line comments in configuration files.
+      const std::size_t eol = text_.find('\n', p);
+      p = eol == std::string_view::npos ? size : eol;
+    } else {
+      break;
+    }
+  }
+  pos_ = p;
+}
+
+Reader::Kind Reader::peek() {
+  if (failed()) return Kind::kEnd;
+  skip_ws();
+  if (pos_ == text_.size()) return Kind::kEnd;
+  switch (text_[pos_]) {
+    case '{': return Kind::kObject;
+    case '[': return Kind::kArray;
+    case '"': return Kind::kString;
+    case 't':
+    case 'f': return Kind::kBool;
+    case 'n': return Kind::kNull;
+    default: return Kind::kNumber;
+  }
+}
+
+inline bool Reader::value_start() {
+  if (failed()) return false;
+  skip_ws();
+  if (pos_ == text_.size()) return fail("unexpected end of input");
+  return true;
+}
+
+inline bool Reader::open(char bracket) {
+  if (!value_start()) return false;
+  if (text_[pos_] != bracket) {
+    return fail(bracket == '{' ? "expected object" : "expected array");
+  }
+  if (depth_ == kMaxDepth) {
+    return fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                " levels");
+  }
+  ++depth_;
+  ++pos_;
+  first_ = true;
+  return true;
+}
+
+bool Reader::begin_object() { return open('{'); }
+bool Reader::begin_array() { return open('['); }
+
+bool Reader::next_key(std::string_view& key) {
+  if (failed()) return false;
+  skip_ws();
+  const bool first = first_;
+  first_ = false;
+  if (!first && pos_ == text_.size()) return fail("unterminated object");
+  if (pos_ < text_.size() && text_[pos_] == '}') {
+    ++pos_;
+    --depth_;
+    return false;
+  }
+  if (!first) {
+    if (text_[pos_] != ',') return fail("expected ',' or '}' in object");
+    ++pos_;
+    skip_ws();
+  }
+  if (pos_ == text_.size() || text_[pos_] != '"') {
+    return fail("expected object key");
+  }
+  std::string_view raw;
+  bool escaped = false;
+  if (!scan_string(raw, escaped)) return false;
+  if (escaped) {
+    scratch_.clear();
+    unescape(raw, scratch_);
+    key = scratch_;
+  } else {
+    key = raw;
+  }
+  skip_ws();
+  if (pos_ == text_.size() || text_[pos_] != ':') return fail("expected ':'");
+  ++pos_;
+  return true;
+}
+
+bool Reader::next_element() {
+  if (failed()) return false;
+  skip_ws();
+  const bool first = first_;
+  first_ = false;
+  if (!first && pos_ == text_.size()) return fail("unterminated array");
+  if (pos_ < text_.size() && text_[pos_] == ']') {
+    ++pos_;
+    --depth_;
+    return false;
+  }
+  if (first) return true;
+  if (text_[pos_] != ',') return fail("expected ',' or ']' in array");
+  ++pos_;
+  return true;
+}
+
+inline bool Reader::scan_string(std::string_view& raw, bool& escaped) {
+  const std::size_t begin = pos_ + 1;  // past the opening quote
+  const std::size_t size = text_.size();
+  std::size_t p = begin;
+  escaped = false;
+  while (true) {
+    while (p < size && text_[p] != '"' && text_[p] != '\\') ++p;
+    pos_ = p;
+    if (p == size) return fail("unterminated string");
+    if (text_[p] == '"') {
+      raw = text_.substr(begin, p - begin);
+      pos_ = p + 1;
+      return true;
+    }
+    escaped = true;
+    pos_ = ++p;
+    if (p == size) return fail("unterminated escape");
+    pos_ = ++p;
+    switch (text_[p - 1]) {
+      case '"':
+      case '\\':
+      case '/':
+      case 'b':
+      case 'f':
+      case 'n':
+      case 'r':
+      case 't': break;
+      case 'u':
+        for (int i = 0; i < 4; ++i, ++p) {
+          if (p == size ||
+              std::isxdigit(static_cast<unsigned char>(text_[p])) == 0) {
+            pos_ = p;
+            return fail("bad \\u escape");
+          }
+        }
+        break;
+      default: return fail("unknown escape character");
+    }
+  }
+}
+
+bool Reader::read_string(std::string& out) {
+  if (!value_start()) return false;
+  if (text_[pos_] != '"') return fail("expected string");
+  std::string_view raw;
+  bool escaped = false;
+  if (!scan_string(raw, escaped)) return false;
+  out.clear();
+  if (escaped) {
+    unescape(raw, out);
+  } else {
+    out.append(raw);
+  }
+  return true;
+}
+
+inline bool Reader::literal(std::string_view word) {
+  if (text_.substr(pos_, word.size()) != word) return fail("invalid literal");
+  pos_ += word.size();
+  return true;
+}
+
+bool Reader::read_bool(bool& out) {
+  if (!value_start()) return false;
+  out = text_[pos_] == 't';
+  return literal(out ? "true" : "false");
+}
+
+bool Reader::read_null() { return value_start() && literal("null"); }
+
+bool Reader::read_number(Number& out) {
+  if (!value_start()) return false;
+  const std::size_t start = pos_;
+  const std::size_t size = text_.size();
+  const bool negative = text_[pos_] == '-';
+  if (negative) ++pos_;
+  const std::size_t digits_start = pos_;
+  std::uint64_t magnitude = 0;  // exact while there are at most 18 digits
+  while (pos_ < size && is_digit(text_[pos_])) {
+    magnitude = magnitude * 10 + static_cast<unsigned>(text_[pos_] - '0');
+    ++pos_;
+  }
+  const std::size_t digits = pos_ - digits_start;
+  bool is_floating = false;
+  if (pos_ < size && text_[pos_] == '.') {
+    is_floating = true;
+    ++pos_;
+    while (pos_ < size && is_digit(text_[pos_])) ++pos_;
+  }
+  if (pos_ < size && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    is_floating = true;
+    ++pos_;
+    if (pos_ < size && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
+    while (pos_ < size && is_digit(text_[pos_])) ++pos_;
+  }
+  if (pos_ == digits_start) {  // empty or a lone '-'
+    return fail("invalid number");
+  }
+  out.integral = !is_floating;
+  if (out.integral && digits <= 18) {
+    const auto value = static_cast<std::int64_t>(magnitude);
+    out.integer = negative ? -value : value;
+    return true;
+  }
+  const char* const first = text_.data() + start;
+  const char* const last = text_.data() + pos_;
+  if (is_floating) {
+    auto [p, ec] = std::from_chars(first, last, out.real);
+    if (ec != std::errc{} || p != last) return fail("invalid number");
+  } else {
+    auto [p, ec] = std::from_chars(first, last, out.integer);
+    if (ec != std::errc{} || p != last) return fail("integer out of range");
+  }
+  return true;
+}
+
+bool Reader::skip_value() {
+  switch (peek()) {
+    case Kind::kEnd: return value_start();
+    case Kind::kObject: {
+      if (!begin_object()) return false;
+      std::string_view key;
+      while (next_key(key)) {
+        if (!skip_value()) return false;
+      }
+      return !failed();
+    }
+    case Kind::kArray: {
+      if (!begin_array()) return false;
+      while (next_element()) {
+        if (!skip_value()) return false;
+      }
+      return !failed();
+    }
+    case Kind::kString: {
+      std::string_view raw;
+      bool escaped = false;
+      return scan_string(raw, escaped);
+    }
+    case Kind::kNumber: {
+      Number n;
+      return read_number(n);
+    }
+    case Kind::kBool: {
+      bool b = false;
+      return read_bool(b);
+    }
+    case Kind::kNull: return read_null();
+  }
+  return false;
+}
+
+bool Reader::finish() {
+  if (failed()) return false;
+  skip_ws();
+  if (pos_ != text_.size()) return fail("trailing characters after document");
+  return true;
+}
+
+bool Reader::fail(std::string_view message) {
+  if (!error_) {
+    // Line and column are counted only here, so a document that parses
+    // pays nothing for them.
+    const std::string_view before = text_.substr(0, pos_);
+    const std::size_t newline = before.rfind('\n');
+    const std::size_t line_start =
+        newline == std::string_view::npos ? 0 : newline + 1;
+    error_ = ParseError{
+        std::string{message},
+        1 + static_cast<int>(std::count(before.begin(), before.end(), '\n')),
+        1 + static_cast<int>(pos_ - line_start)};
+  }
+  return false;
+}
+
 namespace {
 
 void newline_indent(std::string& out, int indent, int depth) {
@@ -83,265 +429,61 @@ void newline_indent(std::string& out, int indent, int depth) {
   out.append(static_cast<std::size_t>(indent) * depth, ' ');
 }
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  ParseResult run() {
-    skip_ws();
-    Value v;
-    if (!parse_value(v)) return {std::nullopt, error_};
-    skip_ws();
-    if (pos_ != text_.size()) {
-      fail("trailing characters after document");
-      return {std::nullopt, error_};
-    }
-    return {std::move(v), std::nullopt};
-  }
-
- private:
-  bool parse_value(Value& out) {
-    if (at_end()) return fail("unexpected end of input");
-    switch (peek()) {
-      case '{':
-      case '[': {
-        if (depth_ == kMaxDepth) {
-          return fail("nesting deeper than " + std::to_string(kMaxDepth) +
-                      " levels");
-        }
-        ++depth_;
-        const bool ok = peek() == '{' ? parse_object(out) : parse_array(out);
-        --depth_;
-        return ok;
+/// The DOM client of the Reader: one Value per JSON value.
+bool read_value(Reader& reader, Value& out) {
+  switch (reader.peek()) {
+    case Reader::Kind::kObject: {
+      if (!reader.begin_object()) return false;
+      Object obj;
+      std::string_view key;
+      while (reader.next_key(key)) {
+        // Copied first: reading the member may reuse the key's storage.
+        std::string name{key};
+        Value member;
+        if (!read_value(reader, member)) return false;
+        obj.emplace(std::move(name), std::move(member));
       }
-      case '"': return parse_string_value(out);
-      case 't': return parse_literal("true", Value{true}, out);
-      case 'f': return parse_literal("false", Value{false}, out);
-      case 'n': return parse_literal("null", Value{nullptr}, out);
-      default: return parse_number(out);
-    }
-  }
-
-  bool parse_object(Value& out) {
-    advance();  // '{'
-    Object obj;
-    skip_ws();
-    if (!at_end() && peek() == '}') {
-      advance();
+      if (reader.failed()) return false;
       out = Value{std::move(obj)};
       return true;
     }
-    while (true) {
-      skip_ws();
-      if (at_end() || peek() != '"') return fail("expected object key");
-      std::string key;
-      if (!parse_string_raw(key)) return false;
-      skip_ws();
-      if (at_end() || peek() != ':') return fail("expected ':'");
-      advance();
-      skip_ws();
-      Value member;
-      if (!parse_value(member)) return false;
-      obj.emplace(std::move(key), std::move(member));
-      skip_ws();
-      if (at_end()) return fail("unterminated object");
-      if (peek() == ',') {
-        advance();
-        continue;
+    case Reader::Kind::kArray: {
+      if (!reader.begin_array()) return false;
+      Array arr;
+      while (reader.next_element()) {
+        Value element;
+        if (!read_value(reader, element)) return false;
+        arr.push_back(std::move(element));
       }
-      if (peek() == '}') {
-        advance();
-        out = Value{std::move(obj)};
-        return true;
-      }
-      return fail("expected ',' or '}' in object");
-    }
-  }
-
-  bool parse_array(Value& out) {
-    advance();  // '['
-    Array arr;
-    skip_ws();
-    if (!at_end() && peek() == ']') {
-      advance();
+      if (reader.failed()) return false;
       out = Value{std::move(arr)};
       return true;
     }
-    while (true) {
-      skip_ws();
-      Value element;
-      if (!parse_value(element)) return false;
-      arr.push_back(std::move(element));
-      skip_ws();
-      if (at_end()) return fail("unterminated array");
-      if (peek() == ',') {
-        advance();
-        continue;
-      }
-      if (peek() == ']') {
-        advance();
-        out = Value{std::move(arr)};
-        return true;
-      }
-      return fail("expected ',' or ']' in array");
+    case Reader::Kind::kString: {
+      std::string s;
+      if (!reader.read_string(s)) return false;
+      out = Value{std::move(s)};
+      return true;
     }
+    case Reader::Kind::kNumber: {
+      Reader::Number n;
+      if (!reader.read_number(n)) return false;
+      out = n.integral ? Value{n.integer} : Value{n.real};
+      return true;
+    }
+    case Reader::Kind::kBool: {
+      bool b = false;
+      if (!reader.read_bool(b)) return false;
+      out = Value{b};
+      return true;
+    }
+    case Reader::Kind::kNull:
+      out = Value{nullptr};
+      return reader.read_null();
+    case Reader::Kind::kEnd: break;
   }
-
-  bool parse_string_value(Value& out) {
-    std::string s;
-    if (!parse_string_raw(s)) return false;
-    out = Value{std::move(s)};
-    return true;
-  }
-
-  bool parse_string_raw(std::string& out) {
-    advance();  // opening quote
-    while (true) {
-      if (at_end()) return fail("unterminated string");
-      char c = peek();
-      advance();
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (at_end()) return fail("unterminated escape");
-        char esc = peek();
-        advance();
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              if (at_end() || std::isxdigit(static_cast<unsigned char>(peek())) == 0) {
-                return fail("bad \\u escape");
-              }
-              char h = peek();
-              advance();
-              code = code * 16 +
-                     static_cast<unsigned>(h <= '9' ? h - '0'
-                                                    : (std::tolower(h) - 'a' + 10));
-            }
-            // UTF-8 encode the BMP code point (surrogate pairs unsupported;
-            // config files are plain ASCII in practice).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default: return fail("unknown escape character");
-        }
-        continue;
-      }
-      out += c;
-    }
-  }
-
-  bool parse_literal(std::string_view word, Value value, Value& out) {
-    if (text_.substr(pos_, word.size()) != word) {
-      return fail("invalid literal");
-    }
-    for (std::size_t i = 0; i < word.size(); ++i) advance();
-    out = std::move(value);
-    return true;
-  }
-
-  bool parse_number(Value& out) {
-    const std::size_t start = pos_;
-    bool is_floating = false;
-    if (!at_end() && peek() == '-') advance();
-    while (!at_end() &&
-           (std::isdigit(static_cast<unsigned char>(peek())) != 0)) {
-      advance();
-    }
-    if (!at_end() && peek() == '.') {
-      is_floating = true;
-      advance();
-      while (!at_end() &&
-             (std::isdigit(static_cast<unsigned char>(peek())) != 0)) {
-        advance();
-      }
-    }
-    if (!at_end() && (peek() == 'e' || peek() == 'E')) {
-      is_floating = true;
-      advance();
-      if (!at_end() && (peek() == '+' || peek() == '-')) advance();
-      while (!at_end() &&
-             (std::isdigit(static_cast<unsigned char>(peek())) != 0)) {
-        advance();
-      }
-    }
-    const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") return fail("invalid number");
-    if (is_floating) {
-      double d = 0;
-      auto [p, ec] = std::from_chars(token.data(), token.data() + token.size(), d);
-      if (ec != std::errc{} || p != token.data() + token.size()) {
-        return fail("invalid number");
-      }
-      out = Value{d};
-    } else {
-      std::int64_t n = 0;
-      auto [p, ec] = std::from_chars(token.data(), token.data() + token.size(), n);
-      if (ec != std::errc{} || p != token.data() + token.size()) {
-        return fail("integer out of range");
-      }
-      out = Value{n};
-    }
-    return true;
-  }
-
-  [[nodiscard]] bool at_end() const { return pos_ >= text_.size(); }
-  [[nodiscard]] char peek() const { return text_[pos_]; }
-
-  void advance() {
-    if (text_[pos_] == '\n') {
-      ++line_;
-      column_ = 1;
-    } else {
-      ++column_;
-    }
-    ++pos_;
-  }
-
-  void skip_ws() {
-    while (!at_end()) {
-      char c = peek();
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        advance();
-      } else if (c == '/' && pos_ + 1 < text_.size() &&
-                 text_[pos_ + 1] == '/') {
-        // Allow // line comments in configuration files.
-        while (!at_end() && peek() != '\n') advance();
-      } else {
-        break;
-      }
-    }
-  }
-
-  bool fail(std::string message) {
-    if (!error_) error_ = ParseError{std::move(message), line_, column_};
-    return false;
-  }
-
-  std::string_view text_;
-  std::size_t pos_{0};
-  int line_{1};
-  int column_{1};
-  int depth_{0};  // open arrays and objects around the current value
-  std::optional<ParseError> error_;
-};
+  return reader.skip_value();  // reports the end of input
+}
 
 }  // namespace
 
@@ -358,6 +500,11 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
       // JSON has no NaN/Infinity literals; "%g" would emit them and produce
       // an unparseable document. null is the conventional lossy stand-in.
       out += "null";
+      return;
+    }
+    if (d == 0 && std::signbit(d)) {
+      // "%.17g" prints "-0", which reads back as the integer 0.
+      out += "-0.0";
       return;
     }
     char buf[32];
@@ -408,6 +555,13 @@ std::string Value::dump(int indent) const {
   return out;
 }
 
-ParseResult parse(std::string_view text) { return Parser{text}.run(); }
+ParseResult parse(std::string_view text) {
+  Reader reader(text);
+  Value value;
+  if (!read_value(reader, value) || !reader.finish()) {
+    return {std::nullopt, reader.error()};
+  }
+  return {std::move(value), std::nullopt};
+}
 
 }  // namespace air::util::json

@@ -1,8 +1,17 @@
-// Minimal JSON parser and writer.
+// Minimal JSON reader and writer.
 //
 // ARINC 653 systems are configured by integration-time files (the standard
 // uses XML; we use JSON for the same role -- see src/config). Implemented
-// from scratch: recursive-descent parser with line/column error reporting.
+// from scratch around one lexer, the pull tokenizer `Reader`, which has two
+// clients:
+//   * parse() builds a Value tree on it -- the integration files, the
+//     telemetry exports and the tools read documents this way;
+//   * config::parse_candidate decodes candidate NDJSON lines straight from
+//     it into model::Candidate, with no tree in between, because ingest of
+//     a large candidate stream is dominated by the per-member allocations
+//     a tree would make and throw away.
+// Both accept the same language (// line comments allowed) and fail with
+// the same messages at the same line and column.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +28,9 @@ namespace air::util::json {
 class Value;
 
 using Array = std::vector<Value>;
-using Object = std::map<std::string, Value>;
+// std::less<> lets find() look a string_view key up without building a
+// std::string.
+using Object = std::map<std::string, Value, std::less<>>;
 
 /// A JSON document node. Numbers keep an exact int64 representation when the
 /// literal was integral, because tick counts must not round-trip through
@@ -93,10 +104,93 @@ struct ParseResult {
   [[nodiscard]] bool ok() const { return value.has_value(); }
 };
 
-/// Deepest nesting of arrays and objects parse() accepts. The parser
-/// recurses once per level, so a deeper document is a ParseError rather
+/// Deepest nesting of arrays and objects the Reader accepts. Its clients
+/// recurse once per level, so a deeper document is a ParseError rather
 /// than a stack overflow.
 inline constexpr int kMaxDepth = 256;
+
+/// Pull tokenizer over one JSON document.
+///
+/// The caller walks the document in order: peek() names the next value's
+/// kind, a typed read consumes it (skip_value() consumes any value,
+/// checking its syntax and depth all the same), and finish() rejects
+/// anything but whitespace after the document. An object is read as
+///   begin_object(); while (next_key(key)) { <read or skip the value> }
+/// and an array as
+///   begin_array(); while (next_element()) { <read or skip the value> }
+/// The first syntax error is kept with its line and column; from then on
+/// every call returns false, so loops unwind without further checks and
+/// error() reports what went wrong. A typed read is valid only when peek()
+/// returned its kind.
+class Reader {
+ public:
+  enum class Kind : std::uint8_t {
+    kEnd,  // no value left: reading one is "unexpected end of input"
+    kObject,
+    kArray,
+    kString,
+    kNumber,  // the next byte starts no other kind; read_number() judges it
+    kBool,
+    kNull,
+  };
+
+  /// An integral literal keeps its exact int64; any other is a double.
+  struct Number {
+    bool integral{true};
+    std::int64_t integer{0};
+    double real{0};
+
+    /// As Value::as_int: a double is truncated toward zero and saturated
+    /// at the int64 range (NaN reads 0).
+    [[nodiscard]] std::int64_t as_int() const;
+  };
+
+  explicit Reader(std::string_view text) : text_(text) {}
+
+  /// Kind of the next value (skips whitespace and comments first).
+  [[nodiscard]] Kind peek();
+
+  bool begin_object();
+  /// Steps to the next member: true with its key (unescaped; the view
+  /// lasts until the next call on this reader), false at the closing
+  /// brace or on error.
+  bool next_key(std::string_view& key);
+  bool begin_array();
+  /// Steps to the next element: true if one follows, false at the
+  /// closing bracket or on error.
+  bool next_element();
+
+  bool read_string(std::string& out);
+  bool read_number(Number& out);
+  bool read_bool(bool& out);
+  bool read_null();
+  bool skip_value();
+
+  /// After the document: true if only whitespace and comments remain.
+  bool finish();
+
+  [[nodiscard]] bool failed() const { return error_.has_value(); }
+  [[nodiscard]] const std::optional<ParseError>& error() const {
+    return error_;
+  }
+
+ private:
+  bool value_start();
+  bool open(char bracket);
+  /// Consumes the string at the cursor: `raw` is what stands between its
+  /// quotes, `escaped` whether that holds a backslash.
+  bool scan_string(std::string_view& raw, bool& escaped);
+  bool literal(std::string_view word);
+  bool fail(std::string_view message);
+  void skip_ws();
+
+  std::string_view text_;
+  std::size_t pos_{0};
+  int depth_{0};       // open arrays and objects around the current value
+  bool first_{false};  // the container just opened has no member yet
+  std::string scratch_;  // the last key, when it had to be unescaped
+  std::optional<ParseError> error_;
+};
 
 /// Append `text` to `out` as a quoted JSON string literal, escaped exactly
 /// as Value::dump escapes strings; lets hand-built lines skip the Value
