@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 
 #include "util/json.hpp"
 
@@ -67,8 +68,24 @@ bool read_array(Reader& r, Member& member, Element&& element) {
   return !r.failed();
 }
 
-[[nodiscard]] PartitionId partition_of(std::int64_t raw) {
-  return PartitionId{static_cast<std::int32_t>(raw)};
+/// The 32-bit fields of a candidate, as bits of a set of fields seen out
+/// of range: a wrapped value would silently name another partition or
+/// priority ("partition":4294967296 is partition 0).
+enum Narrow : std::uint8_t {
+  kPartitionField = 1,  // "partition" of a requirement or a window
+  kPartitionIdField = 2,
+  kPriorityField = 4,
+};
+
+/// `raw` as int32; out of range, it reads 0 and marks `field` in `wide`.
+[[nodiscard]] std::int32_t narrow(std::int64_t raw, Narrow field,
+                                  std::uint8_t& wide) {
+  if (raw < std::numeric_limits<std::int32_t>::min() ||
+      raw > std::numeric_limits<std::int32_t>::max()) {
+    wide |= field;
+    return 0;
+  }
+  return static_cast<std::int32_t>(raw);
 }
 
 /// -1 (any negative) encodes "infinite".
@@ -80,17 +97,17 @@ bool read_array(Reader& r, Member& member, Element&& element) {
 /// `keys` in that order.
 bool read_partition_ticks(Reader& r,
                           const std::array<std::string_view, 3>& keys,
-                          PartitionId& partition, Ticks& first,
-                          Ticks& second) {
+                          PartitionId& partition, Ticks& first, Ticks& second,
+                          std::uint8_t& wide) {
   std::int64_t raw = 0;
   const bool ok = read_members(r, keys, [&](std::size_t key) {
     return read_int(r, key == 0 ? raw : key == 1 ? first : second);
   });
-  partition = partition_of(raw);
+  partition = PartitionId{narrow(raw, kPartitionField, wide)};
   return ok;
 }
 
-bool read_process(Reader& r, model::ProcessModel& proc) {
+bool read_process(Reader& r, model::ProcessModel& proc, std::uint8_t& wide) {
   static constexpr std::array<std::string_view, 6> kKeys = {
       "name", "period", "deadline", "priority", "wcet", "periodic"};
   std::int64_t period = 0;
@@ -110,13 +127,13 @@ bool read_process(Reader& r, model::ProcessModel& proc) {
   });
   proc.period = ticks_of(period);
   proc.deadline = ticks_of(deadline);
-  proc.priority = static_cast<Priority>(priority);
+  proc.priority = narrow(priority, kPriorityField, wide);
   return ok;
 }
 
 /// `bad_processes` is set when "processes" is there but not an array.
-bool read_partition(Reader& r, model::PartitionModel& pm,
-                    bool& bad_processes) {
+bool read_partition(Reader& r, model::PartitionModel& pm, bool& bad_processes,
+                    std::uint8_t& wide) {
   static constexpr std::array<std::string_view, 3> kKeys = {
       "id", "name", "processes"};
   std::int64_t id = 0;
@@ -130,11 +147,11 @@ bool read_partition(Reader& r, model::PartitionModel& pm,
         return read_string(r, pm.name);
       default:
         return read_array(r, processes, [&] {
-          return read_process(r, pm.processes.emplace_back());
+          return read_process(r, pm.processes.emplace_back(), wide);
         });
     }
   });
-  pm.id = partition_of(id);
+  pm.id = PartitionId{narrow(id, kPartitionIdField, wide)};
   // The name falls back on the id wherever in the object the id stood.
   if (!named) pm.name = "P" + std::to_string(pm.id.value());
   bad_processes = bad_processes || processes == Member::kOther;
@@ -158,6 +175,7 @@ CandidateParse parse_candidate(std::string_view line) {
   Member windows = Member::kAbsent;
   Member partitions = Member::kAbsent;
   bool bad_processes = false;
+  std::uint8_t wide = 0;
   const auto member = [&](std::size_t key) {
     switch (key) {
       case 0: return read_int(r, id);
@@ -167,18 +185,18 @@ CandidateParse parse_candidate(std::string_view line) {
         return read_array(r, requirements, [&] {
           model::ScheduleRequirement& q = candidate.requirements.emplace_back();
           return read_partition_ticks(r, kRequirementKeys, q.partition,
-                                      q.period, q.duration);
+                                      q.period, q.duration, wide);
         });
       case 4:
         return read_array(r, windows, [&] {
           model::Window& w = candidate.windows.emplace_back();
           return read_partition_ticks(r, kWindowKeys, w.partition, w.offset,
-                                      w.duration);
+                                      w.duration, wide);
         });
       default:
         return read_array(r, partitions, [&] {
           return read_partition(r, candidate.partitions.emplace_back(),
-                                bad_processes);
+                                bad_processes, wide);
         });
     }
   };
@@ -208,6 +226,12 @@ CandidateParse parse_candidate(std::string_view line) {
                        : "partitions must be an array";
   } else if (bad_processes) {
     result.error = "processes must be an array";
+  } else if (wide != 0) {
+    result.error = std::string{(wide & kPartitionField) != 0 ? "partition"
+                               : (wide & kPartitionIdField) != 0
+                                   ? "partition id"
+                                   : "priority"} +
+                   " must be a 32-bit integer";
   } else {
     candidate.id = static_cast<std::uint64_t>(id);
     result.candidate = std::move(candidate);

@@ -37,9 +37,8 @@ std::string describe_run(system::Module& module,
         << anomaly.process << " missed deadline " << anomaly.deadline
         << " (detected @" << anomaly.detected_at << ")\n";
     for (const telemetry::CauseLink& link : anomaly.chain) {
-      out << "    <- " << link.what << " @" << link.at;
-      if (!link.detail.empty()) out << " (" << link.detail << ")";
-      out << "\n";
+      out << "    <- " << telemetry::to_string(link.what) << " @" << link.at
+          << " (" << telemetry::detail(link) << ")\n";
     }
   }
   return out.str();

@@ -458,7 +458,7 @@ void Module::tick_once() {
   if (online_ != nullptr && !stopped_ && now() == online_->next_close_tick()) {
     telemetry::HostProfiler::Scope scope(
         profiler_, telemetry::ProfilePoint::kOnlineClose);
-    online_->close_window(now(), build_online_sample());
+    online_->close_window(now(), sample_online());
   }
 
   // Tick hook last: injected effects become visible from the next tick on,
@@ -649,8 +649,8 @@ telemetry::MetricsSnapshot Module::metrics_snapshot() {
   return metrics_.snapshot(now());
 }
 
-telemetry::OnlineSample Module::build_online_sample() const {
-  telemetry::OnlineSample sample;
+const telemetry::OnlineSample& Module::sample_online() {
+  telemetry::OnlineSample& sample = online_sample_;
   sample.partitions.resize(partitions_.size());
   for (std::size_t i = 0; i < partitions_.size(); ++i) {
     const auto index = static_cast<std::int32_t>(i);
@@ -664,10 +664,9 @@ telemetry::OnlineSample Module::build_online_sample() const {
     ps.dispatches = p.kernel().dispatch_count();
     ps.hm_errors =
         metrics_.counter_value(telemetry::Metric::kHmErrors, index);
-    if (const telemetry::Histogram* slack =
-            metrics_.histogram(telemetry::Metric::kDeadlineSlack, index)) {
-      ps.deadline_slack = *slack;
-    }
+    const telemetry::Histogram* slack =
+        metrics_.histogram(telemetry::Metric::kDeadlineSlack, index);
+    ps.deadline_slack = slack != nullptr ? *slack : telemetry::Histogram{};
   }
   // Router-local totals, not registry reads: traffic counters reach the
   // registry only at snapshot time (scrape_traffic), and the router
@@ -750,10 +749,12 @@ std::string Module::status_report() {
   out += line;
   if (config_.telemetry.spans_enabled) {
     std::snprintf(line, sizeof line,
-                  "  spans: recorded=%llu dropped=%llu open=%zu anomalies=%zu\n",
+                  "  spans: recorded=%llu dropped=%llu open=%zu anomalies=%zu "
+                  "anomalies_dropped=%llu\n",
                   static_cast<unsigned long long>(spans_.recorded_spans()),
                   static_cast<unsigned long long>(spans_.dropped_spans()),
-                  spans_.open_count(), spans_.anomalies().size());
+                  spans_.open_count(), spans_.anomaly_count(),
+                  static_cast<unsigned long long>(spans_.dropped_anomalies()));
     out += line;
   }
   if (config_.trace_enabled) {
@@ -869,24 +870,19 @@ void Module::build_miss_anomaly(PartitionId id, ProcessId pid, Ticks deadline,
   anomaly.process = pid.value();
   anomaly.deadline = deadline;
 
+  using telemetry::Cause;
   const telemetry::Span job = spans_.last_ended(telemetry::SpanKind::kJob);
   const bool job_matches =
       job.id != 0 && job.a == id.value() && job.b == pid.value() &&
       job.status == telemetry::SpanStatus::kDeadlineMiss;
-  anomaly.chain.push_back({spans_.intern("deadline_miss"),
-                           job_matches ? job.id : 0, detected_at,
-                           spans_.intern("deadline " +
-                                         std::to_string(deadline) +
-                                         " expired for process " +
-                                         std::to_string(pid.value()))});
+  anomaly.chain.push_back({Cause::kDeadlineMiss, job_matches ? job.id : 0,
+                           detected_at, deadline, pid.value()});
   if (!job_matches) {
-    spans_.add_anomaly(std::move(anomaly));
+    spans_.add_anomaly(anomaly);
     return;
   }
   anomaly.chain.push_back(
-      {spans_.intern("job_released"), job.id, job.start,
-       spans_.intern("job released at " + std::to_string(job.start) +
-                     " in partition " + std::to_string(id.value()))});
+      {Cause::kJobReleased, job.id, job.start, id.value()});
 
   // Was the partition's window closed between release and detection? Then
   // the miss was (at least partly) a preemption blackout: the partition
@@ -895,15 +891,9 @@ void Module::build_miss_anomaly(PartitionId id, ProcessId pid, Ticks deadline,
   bool causal_link = false;
   if (w.id != 0 && w.end > job.start && w.end <= detected_at) {
     causal_link = true;
-    anomaly.chain.push_back(
-        {spans_.intern("window_end_preemption"), w.id, w.end,
-         spans_.intern("partition window closed at " +
-                       std::to_string(w.end))});
+    anomaly.chain.push_back({Cause::kWindowEndPreemption, w.id, w.end});
     if (deadline >= w.end) {
-      anomaly.chain.push_back(
-          {spans_.intern("partition_inactive"), 0, detected_at,
-           spans_.intern(
-               "deadline expired while the partition was not scheduled")});
+      anomaly.chain.push_back({Cause::kPartitionInactive, 0, detected_at});
     }
     // Did a schedule switch take effect in that gap? Then the blackout came
     // from mode change, and its parent span says who requested it.
@@ -911,28 +901,18 @@ void Module::build_miss_anomaly(PartitionId id, ProcessId pid, Ticks deadline,
         spans_.last_ended(telemetry::SpanKind::kScheduleSwitch);
     if (sw.id != 0 && sw.end > job.start && sw.end <= detected_at) {
       anomaly.chain.push_back(
-          {spans_.intern("schedule_switch"), sw.id, sw.end,
-           spans_.intern("schedule " + std::to_string(sw.b) + " -> " +
-                         std::to_string(sw.a) + " took effect at " +
-                         std::to_string(sw.end))});
+          {Cause::kScheduleSwitch, sw.id, sw.end, sw.b, sw.a});
       if (sw.parent != 0) {
-        anomaly.chain.push_back(
-            {spans_.intern("requested_by"), sw.parent, sw.start,
-             spans_.intern("SET_MODULE_SCHEDULE issued at " +
-                           std::to_string(sw.start))});
+        anomaly.chain.push_back({Cause::kRequestedBy, sw.parent, sw.start});
       }
     }
   }
   if (!causal_link) {
     // No external event stole the processor: the job simply ran past its
     // time capacity inside its own window.
-    anomaly.chain.push_back(
-        {spans_.intern("capacity_overrun"), job.id, detected_at,
-         spans_.intern(
-             "no preemption between release and miss; job exceeded its "
-             "time capacity")});
+    anomaly.chain.push_back({Cause::kCapacityOverrun, job.id, detected_at});
   }
-  spans_.add_anomaly(std::move(anomaly));
+  spans_.add_anomaly(anomaly);
 }
 
 }  // namespace air::system

@@ -233,8 +233,9 @@ class Module {
                           Ticks detected_at);
   /// Cumulative totals for the online plane at the end of the current tick
   /// (direct layer/registry reads -- cheaper and snapshot-neutral, so
-  /// metrics snapshots stay byte-identical with the plane on or off).
-  [[nodiscard]] telemetry::OnlineSample build_online_sample() const;
+  /// metrics snapshots stay byte-identical with the plane on or off),
+  /// rebuilt in place into online_sample_.
+  const telemetry::OnlineSample& sample_online();
 
   ModuleConfig config_;
   // Declared before every consumer: label symbols must outlive the trace,
@@ -247,6 +248,7 @@ class Module {
   mutable telemetry::HostProfiler profiler_;
   telemetry::SpanRecorder spans_;
   std::unique_ptr<telemetry::OnlinePlane> online_;
+  telemetry::OnlineSample online_sample_;
   hal::Machine machine_;
   pmk::SpatialManager spatial_;
   ipc::Router router_;

@@ -22,6 +22,38 @@ namespace {
   return static_cast<std::int64_t>(d);
 }
 
+/// Reads the four hex digits at text[at..at+4) into `code`; false when
+/// they are not all there.
+bool hex4(std::string_view text, std::size_t at, unsigned& code) {
+  if (text.size() < at + 4) return false;
+  code = 0;
+  for (std::size_t k = at; k < at + 4; ++k) {
+    const char h = text[k];
+    if (std::isxdigit(static_cast<unsigned char>(h)) == 0) return false;
+    code = code * 16 +
+           static_cast<unsigned>(h <= '9' ? h - '0'
+                                          : (std::tolower(h) - 'a' + 10));
+  }
+  return true;
+}
+
+/// Checks the escaped code point whose four hex digits end at text[at] and
+/// begin with 'd': false for a lone UTF-16 surrogate half; a high half
+/// followed by an escaped low half moves `at` past the pair. Kept out of
+/// the string scanner's loop, which calls it only for U+D000..U+DFFF.
+[[gnu::noinline]] bool surrogate_pair(std::string_view text, std::size_t& at) {
+  unsigned code = 0;
+  (void)hex4(text, at - 4, code);
+  if (code < 0xD800) return true;
+  unsigned low = 0;
+  if (code > 0xDBFF || text.substr(at, 2) != "\\u" ||
+      !hex4(text, at + 2, low) || low < 0xDC00 || low > 0xDFFF) {
+    return false;
+  }
+  at += 6;
+  return true;
+}
+
 /// Appends the string body `raw` (between the quotes, escapes already
 /// validated by the Reader) to `out`, unescaped.
 void unescape(std::string_view raw, std::string& out) {
@@ -40,21 +72,28 @@ void unescape(std::string_view raw, std::string& out) {
       case 't': out += '\t'; break;
       case 'u': {
         unsigned code = 0;
-        for (int k = 0; k < 4; ++k) {
-          const char h = raw[++i];
-          code = code * 16 +
-                 static_cast<unsigned>(h <= '9' ? h - '0'
-                                                : (std::tolower(h) - 'a' + 10));
+        (void)hex4(raw, i + 1, code);
+        i += 4;
+        if (code >= 0xD800 && code <= 0xDBFF) {
+          // The Reader admitted only whole pairs: a low half follows.
+          unsigned low = 0;
+          (void)hex4(raw, i + 3, low);
+          i += 6;
+          code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
         }
-        // UTF-8 encode the BMP code point (surrogate pairs unsupported;
-        // config files are plain ASCII in practice).
+        // UTF-8 encode the code point.
         if (code < 0x80) {
           out += static_cast<char>(code);
         } else if (code < 0x800) {
           out += static_cast<char>(0xC0 | (code >> 6));
           out += static_cast<char>(0x80 | (code & 0x3F));
-        } else {
+        } else if (code < 0x10000) {
           out += static_cast<char>(0xE0 | (code >> 12));
+          out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          out += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+          out += static_cast<char>(0xF0 | (code >> 18));
+          out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
           out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
           out += static_cast<char>(0x80 | (code & 0x3F));
         }
@@ -273,7 +312,7 @@ inline bool Reader::scan_string(std::string_view& raw, bool& escaped) {
       case 'n':
       case 'r':
       case 't': break;
-      case 'u':
+      case 'u': {
         for (int i = 0; i < 4; ++i, ++p) {
           if (p == size ||
               std::isxdigit(static_cast<unsigned char>(text_[p])) == 0) {
@@ -281,7 +320,13 @@ inline bool Reader::scan_string(std::string_view& raw, bool& escaped) {
             return fail("bad \\u escape");
           }
         }
+        // UTF-16 surrogates (U+D800..U+DFFF) come in (high, low) pairs.
+        if ((text_[p - 4] | 0x20) == 'd' && !surrogate_pair(text_, p)) {
+          pos_ = p;
+          return fail("lone \\u surrogate");
+        }
         break;
+      }
       default: return fail("unknown escape character");
     }
   }

@@ -55,8 +55,20 @@ std::string reference_require_array(const Value& v, std::string_view key,
   return {};
 }
 
+/// `raw` narrowed to int32; out of range, it reads 0 and sets `wide`.
+std::int32_t reference_narrow(std::int64_t raw, bool& wide) {
+  if (raw < INT32_MIN || raw > INT32_MAX) {
+    wide = true;
+    return 0;
+  }
+  return static_cast<std::int32_t>(raw);
+}
+
 config::CandidateParse reference_parse_candidate(std::string_view line) {
   config::CandidateParse result;
+  bool wide_partition = false;
+  bool wide_id = false;
+  bool wide_priority = false;
   const auto parsed = util::json::parse(line);
   if (!parsed.ok()) {
     result.error = parsed.error->to_string();
@@ -85,8 +97,8 @@ config::CandidateParse reference_parse_candidate(std::string_view line) {
   }
   for (const Value& r : reqs->as_array()) {
     model::ScheduleRequirement req;
-    req.partition =
-        PartitionId{static_cast<std::int32_t>(r.get_int("partition", 0))};
+    req.partition = PartitionId{
+        reference_narrow(r.get_int("partition", 0), wide_partition)};
     req.period = r.get_int("period", 0);
     req.duration = r.get_int("duration", 0);
     candidate.requirements.push_back(req);
@@ -99,8 +111,8 @@ config::CandidateParse reference_parse_candidate(std::string_view line) {
     }
     for (const Value& w : windows->as_array()) {
       model::Window window;
-      window.partition =
-          PartitionId{static_cast<std::int32_t>(w.get_int("partition", 0))};
+      window.partition = PartitionId{
+          reference_narrow(w.get_int("partition", 0), wide_partition)};
       window.offset = w.get_int("offset", 0);
       window.duration = w.get_int("duration", 0);
       candidate.windows.push_back(window);
@@ -116,7 +128,7 @@ config::CandidateParse reference_parse_candidate(std::string_view line) {
   }
   for (const Value& p : partitions->as_array()) {
     model::PartitionModel pm;
-    pm.id = PartitionId{static_cast<std::int32_t>(p.get_int("id", 0))};
+    pm.id = PartitionId{reference_narrow(p.get_int("id", 0), wide_id)};
     pm.name = p.get_string("name", "P" + std::to_string(pm.id.value()));
     if (const Value* procs = p.find("processes"); procs != nullptr) {
       if (!procs->is_array()) {
@@ -128,7 +140,8 @@ config::CandidateParse reference_parse_candidate(std::string_view line) {
         proc.name = q.get_string("name", "");
         proc.period = reference_ticks_of(q, "period", 0);
         proc.deadline = reference_ticks_of(q, "deadline", -1);
-        proc.priority = static_cast<Priority>(q.get_int("priority", 0));
+        proc.priority =
+            reference_narrow(q.get_int("priority", 0), wide_priority);
         proc.wcet = q.get_int("wcet", 0);
         proc.periodic = q.get_bool("periodic", true);
         pm.processes.push_back(std::move(proc));
@@ -137,7 +150,15 @@ config::CandidateParse reference_parse_candidate(std::string_view line) {
     candidate.partitions.push_back(std::move(pm));
   }
 
-  result.candidate = std::move(candidate);
+  if (wide_partition) {
+    result.error = "partition must be a 32-bit integer";
+  } else if (wide_id) {
+    result.error = "partition id must be a 32-bit integer";
+  } else if (wide_priority) {
+    result.error = "priority must be a 32-bit integer";
+  } else {
+    result.candidate = std::move(candidate);
+  }
   return result;
 }
 
@@ -211,11 +232,17 @@ TEST(CandidateDecode, MatchesTheDomReferenceOnEdgeLines) {
       R"("priority":{},"wcet":"w","periodic":1}]}]})",
       R"({"id":null,"name":[],"requirements":[],"partitions":[{"id":[],)"
       R"("name":null}]})",
-      // Doubles truncate toward zero and saturate.
+      // Doubles truncate toward zero and saturate; a saturated 32-bit field
+      // is out of range.
       R"({"id":80.9,"mtf":1e300,"requirements":[{"partition":-0.5,)"
       R"("period":80.9,"duration":1e300}],"windows":[{"partition":80.9,)"
       R"("offset":-0.5,"duration":-1e300}],"partitions":[{"id":-0.5,)"
       R"("processes":[{"period":-0.5,"deadline":-1e300,"priority":1e300,)"
+      R"("wcet":80.9},{"period":-1,"deadline":80.9,"priority":-80.9}]}]})",
+      R"({"id":80.9,"mtf":1e300,"requirements":[{"partition":-0.5,)"
+      R"("period":80.9,"duration":1e300}],"windows":[{"partition":80.9,)"
+      R"("offset":-0.5,"duration":-1e300}],"partitions":[{"id":-0.5,)"
+      R"("processes":[{"period":-0.5,"deadline":-1e300,"priority":2.1e9,)"
       R"("wcet":80.9},{"period":-1,"deadline":80.9,"priority":-80.9}]}]})",
       R"({"id":-0.5,"mtf":-1e300,"requirements":[],"partitions":[]})",
       R"({"id":-1e300,"requirements":[],"partitions":[]})",
@@ -328,6 +355,50 @@ TEST(CandidateDecode, StreamMatchesTheReferenceLineByLine) {
               std::string::npos)
         << error;
   }
+}
+
+// A value outside int32 in a 32-bit field is a line error: a wrapped value
+// would name another partition or priority.
+void expect_range_error(const std::string& line, const std::string& error) {
+  const config::CandidateParse parsed = config::parse_candidate(line);
+  EXPECT_FALSE(parsed.ok()) << line;
+  EXPECT_EQ(parsed.error, error) << line;
+  EXPECT_EQ(outcome(parsed), outcome(reference_parse_candidate(line)))
+      << line;
+}
+
+TEST(CandidateDecode, RejectsAPartitionOutsideInt32) {
+  const std::string procs = R"("partitions":[{"id":0,"processes":[]}]})";
+  expect_range_error(
+      R"({"id":1,"requirements":[{"partition":4294967296,"period":10,)"
+      R"("duration":1}],)" + procs,
+      "partition must be a 32-bit integer");
+  expect_range_error(
+      R"({"id":1,"requirements":[],"windows":[{"partition":-2147483649,)"
+      R"("offset":0,"duration":1}],)" + procs,
+      "partition must be a 32-bit integer");
+  // The bounds themselves still fit.
+  EXPECT_TRUE(config::parse_candidate(
+                  R"({"id":1,"requirements":[{"partition":2147483647}],)"
+                  R"("windows":[{"partition":-2147483648}],)" + procs)
+                  .ok());
+}
+
+TEST(CandidateDecode, RejectsAPartitionIdOutsideInt32) {
+  expect_range_error(
+      R"({"id":1,"requirements":[],"partitions":[{"id":4294967297}]})",
+      "partition id must be a 32-bit integer");
+}
+
+TEST(CandidateDecode, RejectsAPriorityOutsideInt32) {
+  expect_range_error(
+      R"({"id":1,"requirements":[],"partitions":[{"id":0,"processes":)"
+      R"([{"name":"q","priority":1e300}]}]})",
+      "priority must be a 32-bit integer");
+  expect_range_error(
+      R"({"id":1,"requirements":[],"partitions":[{"id":0,"processes":)"
+      R"([{"name":"q","priority":-2147483649}]}]})",
+      "priority must be a 32-bit integer");
 }
 
 // ---------- seeded mutation fuzz ----------

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "config/fig8.hpp"
 #include "system/module.hpp"
@@ -129,7 +130,7 @@ TEST(Spans, DeadlineMissRetiresJobAndParentsHmHandler) {
     EXPECT_TRUE(handled) << "miss at " << job.end << " has no HM span";
   }
   EXPECT_GT(missed_jobs, 0u);
-  EXPECT_EQ(spans.anomalies().size(), missed_jobs)
+  EXPECT_EQ(spans.anomaly_count(), missed_jobs)
       << "every miss carries an anomaly record";
   (void)all;
 }
@@ -137,24 +138,25 @@ TEST(Spans, DeadlineMissRetiresJobAndParentsHmHandler) {
 TEST(Spans, EveryMissCarriesARootCauseChain) {
   system::Module module(scenarios::fig8_config());
   fig8_mission(module);
-  const auto& anomalies = module.spans().anomalies();
+  const std::vector<telemetry::Anomaly> anomalies =
+      module.spans().anomalies();
   ASSERT_FALSE(anomalies.empty());
   for (const telemetry::Anomaly& anomaly : anomalies) {
     ASSERT_GE(anomaly.chain.size(), 3u);
-    EXPECT_EQ(anomaly.chain[0].what, "deadline_miss");
-    EXPECT_EQ(anomaly.chain[1].what, "job_released");
+    EXPECT_EQ(anomaly.chain[0].what, telemetry::Cause::kDeadlineMiss);
+    EXPECT_EQ(anomaly.chain[1].what, telemetry::Cause::kJobReleased);
     // The faulty process misses across a window boundary, so the chain
     // names the preemption; misses inside a window blame the overrun.
-    const std::string cause = anomaly.chain[2].what.str();
-    EXPECT_TRUE(cause == "window_end_preemption" ||
-                cause == "capacity_overrun")
-        << cause;
+    const telemetry::Cause cause = anomaly.chain[2].what;
+    EXPECT_TRUE(cause == telemetry::Cause::kWindowEndPreemption ||
+                cause == telemetry::Cause::kCapacityOverrun)
+        << telemetry::to_string(cause);
   }
   // The first miss happens while chi_1 -> chi_2 takes effect: its chain
   // walks all the way back to the SET_MODULE_SCHEDULE request.
   bool blames_switch = false;
   for (const telemetry::CauseLink& link : anomalies.front().chain) {
-    if (link.what == "requested_by") blames_switch = true;
+    if (link.what == telemetry::Cause::kRequestedBy) blames_switch = true;
   }
   EXPECT_TRUE(blames_switch);
 }
@@ -177,7 +179,7 @@ TEST(Spans, DisabledRecorderCostsNothingAndRecordsNothing) {
   fig8_mission(module);
   EXPECT_EQ(module.spans().recorded_spans(), 0u);
   EXPECT_EQ(module.spans().open_count(), 0u);
-  EXPECT_TRUE(module.spans().anomalies().empty());
+  EXPECT_EQ(module.spans().anomaly_count(), 0u);
   // The mission itself is unaffected: the faulty process still misses.
   EXPECT_GT(module.trace().count(util::EventKind::kDeadlineMiss), 0u);
 }

@@ -276,5 +276,33 @@ TEST(Json, UnicodeEscapes) {
   EXPECT_EQ(result.value->as_string(), "A\xc3\xa9");
 }
 
+TEST(Json, SurrogatePairDecodesToOneFourByteSequence) {
+  const auto result = util::json::parse(R"("\ud83d\ude00")");
+  ASSERT_TRUE(result.ok()) << result.error->to_string();
+  EXPECT_EQ(result.value->as_string(), "\xf0\x9f\x98\x80");
+  // Upper case hex and the extremes of the supplementary planes.
+  const auto bounds = util::json::parse(R"(["\uD800\uDC00","\udbff\udfff"])");
+  ASSERT_TRUE(bounds.ok()) << bounds.error->to_string();
+  EXPECT_EQ(bounds.value->as_array()[0].as_string(), "\xf0\x90\x80\x80");
+  EXPECT_EQ(bounds.value->as_array()[1].as_string(), "\xf4\x8f\xbf\xbf");
+}
+
+TEST(Json, LoneHighSurrogateIsAParseError) {
+  for (const char* text : {R"("\ud83d")", R"("\ud83dx")", R"("\ud83d\u0041")",
+                           R"("\ud83d\ud83d")", R"({"k\ud83d":1})"}) {
+    const auto result = util::json::parse(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.error->message, "lone \\u surrogate") << text;
+  }
+}
+
+TEST(Json, LoneLowSurrogateIsAParseError) {
+  for (const char* text : {R"("\ude00")", R"("a\ude00\ud83d")"}) {
+    const auto result = util::json::parse(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.error->message, "lone \\u surrogate") << text;
+  }
+}
+
 }  // namespace
 }  // namespace air

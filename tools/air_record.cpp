@@ -320,9 +320,8 @@ int main(int argc, char** argv) {
   std::size_t breaches = 0;
   if (health) {
     health_file.close();
-    breaches = prototype.online()->events().size() +
-               ground.online()->events().size() +
-               world.bus_plane()->events().size();
+    breaches = prototype.online()->breaches() + ground.online()->breaches() +
+               world.bus_plane()->breaches();
     std::printf("health: %zu watchdog breach(es) streamed to %s\n", breaches,
                 (dir / "health.ndjson").c_str());
   }
