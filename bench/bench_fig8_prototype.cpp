@@ -47,7 +47,7 @@ void run_and_report(benchmark::State& state, ScheduleId schedule) {
   }
 
   for (std::size_t p = 0; p < occupancy.size(); ++p) {
-    state.counters["P" + std::to_string(p + 1) + "_share_x1300"] =
+    state.counters['P' + std::to_string(p + 1) + "_share_x1300"] =
         benchmark::Counter(static_cast<double>(occupancy[p]) * 1300.0 /
                            static_cast<double>(total));
   }

@@ -87,7 +87,7 @@ void BM_TickCostVsCores(benchmark::State& state) {
   std::vector<std::vector<PartitionId>> per_core(
       static_cast<std::size_t>(cores));
   for (int p = 0; p < 2 * cores; ++p) {
-    config.partitions.push_back(worker("P" + std::to_string(p), 40));
+    config.partitions.push_back(worker('P' + std::to_string(p), 40));
     per_core[static_cast<std::size_t>(p % cores)].push_back(PartitionId{p});
   }
   for (int c = 0; c < cores; ++c) {

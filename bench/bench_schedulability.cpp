@@ -82,7 +82,7 @@ void BM_ResponseTimeAnalysis(benchmark::State& state) {
   util::Rng rng(46);
   for (int q = 0; q < processes; ++q) {
     partition.processes.push_back(
-        {"p" + std::to_string(q), 100 * (1 + rng.uniform(0, 3)),
+        {'p' + std::to_string(q), 100 * (1 + rng.uniform(0, 3)),
          kInfiniteTime, 10 + q, 1 + rng.uniform(0, 3), true});
   }
   for (auto _ : state) {

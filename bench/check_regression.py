@@ -3,9 +3,12 @@
 
 For every BENCH_*.json baseline in the baseline directory, loads the
 same-named file from the fresh directory and compares each benchmark's
-cpu_time by name. A benchmark regresses when its fresh cpu_time exceeds
-baseline * (1 + tolerance); missing benchmarks and missing files fail too
-(a silently-dropped benchmark is not an improvement).
+cpu_time by name. A file run with repetitions holds one iteration row per
+repetition; a benchmark's cpu_time is the median of its rows, so one
+outlier repetition neither fails nor passes the gate. A benchmark regresses
+when its fresh cpu_time exceeds baseline * (1 + tolerance); missing
+benchmarks and missing files fail too (a silently-dropped benchmark is not
+an improvement).
 
 Both documents must carry the "cmake_build_type": "Release" stamp written
 by bench/run_benches.sh -- comparing a debug run against a Release baseline
@@ -29,6 +32,7 @@ import argparse
 import glob
 import json
 import os
+import statistics
 import sys
 
 
@@ -38,14 +42,17 @@ def load(path: str) -> dict:
 
 
 def benchmarks_by_name(doc: dict) -> dict:
-    out = {}
+    """{name: (median cpu_time of its iteration rows, time_unit)}."""
+    rows = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
         name = bench.get("name")
         if name and "cpu_time" in bench:
-            out[name] = (float(bench["cpu_time"]), bench.get("time_unit", "ns"))
-    return out
+            times, _ = rows.setdefault(name, ([], bench.get("time_unit", "ns")))
+            times.append(float(bench["cpu_time"]))
+    return {name: (statistics.median(times), unit)
+            for name, (times, unit) in rows.items()}
 
 
 def main() -> int:

@@ -153,7 +153,7 @@ bool read_partition(Reader& r, model::PartitionModel& pm, bool& bad_processes,
   });
   pm.id = PartitionId{narrow(id, kPartitionIdField, wide)};
   // The name falls back on the id wherever in the object the id stood.
-  if (!named) pm.name = "P" + std::to_string(pm.id.value());
+  if (!named) pm.name = 'P' + std::to_string(pm.id.value());
   bad_processes = bad_processes || processes == Member::kOther;
   return ok;
 }
@@ -274,61 +274,47 @@ CandidateStream parse_candidates(std::string_view text) {
 }
 
 std::string candidate_to_jsonl(const model::Candidate& candidate) {
-  // Hand-rolled, key order fixed by this function (std::map-based
-  // Value::dump would alphabetise) -- reproducer files must be diffable.
-  std::string out = "{\"id\":" + std::to_string(candidate.id);
-  const auto num = [&out](std::string_view key, std::int64_t value) {
-    out += key;
-    out += std::to_string(value);
-  };
-  const auto str = [&out](std::string_view key, const std::string& value) {
-    out += key;
-    util::json::append_string(out, value);
-  };
+  // Key order fixed here, not sorted: a reproducer line reads id first,
+  // and the files must stay diffable.
   const auto ticks = [](Ticks t) {
     return t == kInfiniteTime ? std::int64_t{-1}
                               : static_cast<std::int64_t>(t);
   };
-  str(",\"name\":", candidate.name);
-  num(",\"mtf\":", candidate.mtf);
-  out += ",\"requirements\":[";
-  for (std::size_t i = 0; i < candidate.requirements.size(); ++i) {
-    const model::ScheduleRequirement& r = candidate.requirements[i];
-    num(i ? ",{\"partition\":" : "{\"partition\":", r.partition.value());
-    num(",\"period\":", r.period);
-    num(",\"duration\":", r.duration);
-    out += '}';
+  std::string out;
+  util::json::Writer w(out);
+  w.begin_object().key("id").integer(candidate.id);
+  w.key("name").string(candidate.name).key("mtf").integer(candidate.mtf);
+  w.key("requirements").begin_array();
+  for (const model::ScheduleRequirement& r : candidate.requirements) {
+    w.begin_object().key("partition").integer(r.partition.value());
+    w.key("period").integer(r.period);
+    w.key("duration").integer(r.duration).end_object();
   }
-  out += ']';
+  w.end_array();
   if (!candidate.windows.empty()) {
-    out += ",\"windows\":[";
-    for (std::size_t i = 0; i < candidate.windows.size(); ++i) {
-      const model::Window& w = candidate.windows[i];
-      num(i ? ",{\"partition\":" : "{\"partition\":", w.partition.value());
-      num(",\"offset\":", w.offset);
-      num(",\"duration\":", w.duration);
-      out += '}';
+    w.key("windows").begin_array();
+    for (const model::Window& win : candidate.windows) {
+      w.begin_object().key("partition").integer(win.partition.value());
+      w.key("offset").integer(win.offset);
+      w.key("duration").integer(win.duration).end_object();
     }
-    out += ']';
+    w.end_array();
   }
-  out += ",\"partitions\":[";
-  for (std::size_t i = 0; i < candidate.partitions.size(); ++i) {
-    const model::PartitionModel& pm = candidate.partitions[i];
-    num(i ? ",{\"id\":" : "{\"id\":", pm.id.value());
-    str(",\"name\":", pm.name);
-    out += ",\"processes\":[";
-    for (std::size_t q = 0; q < pm.processes.size(); ++q) {
-      const model::ProcessModel& proc = pm.processes[q];
-      str(q ? ",{\"name\":" : "{\"name\":", proc.name);
-      num(",\"period\":", ticks(proc.period));
-      num(",\"deadline\":", ticks(proc.deadline));
-      num(",\"priority\":", proc.priority);
-      num(",\"wcet\":", proc.wcet);
-      out += proc.periodic ? ",\"periodic\":true}" : ",\"periodic\":false}";
+  w.key("partitions").begin_array();
+  for (const model::PartitionModel& pm : candidate.partitions) {
+    w.begin_object().key("id").integer(pm.id.value());
+    w.key("name").string(pm.name).key("processes").begin_array();
+    for (const model::ProcessModel& proc : pm.processes) {
+      w.begin_object().key("name").string(proc.name);
+      w.key("period").integer(ticks(proc.period));
+      w.key("deadline").integer(ticks(proc.deadline));
+      w.key("priority").integer(proc.priority);
+      w.key("wcet").integer(proc.wcet);
+      w.key("periodic").boolean(proc.periodic).end_object();
     }
-    out += "]}";
+    w.end_array().end_object();
   }
-  out += "]}";
+  w.end_array().end_object();
   return out;
 }
 

@@ -1,156 +1,133 @@
 #include "config/export.hpp"
 
+#include <algorithm>
 #include <variant>
 
 #include "util/json.hpp"
 
+// Every object's members are written in name order, the schema's canonical
+// layout, so an exported file diffs cleanly against an earlier export.
 namespace air::config {
 
 namespace {
 
-using util::json::Array;
-using util::json::Object;
-using util::json::Value;
+using util::json::Writer;
 
 std::int64_t time_out(Ticks t) { return t == kInfiniteTime ? -1 : t; }
 
-Value op_to_json(const pos::Op& op) {
-  Object o;
+const std::string& partition_name(const system::ModuleConfig& config,
+                                  PartitionId id) {
+  return config.partitions[static_cast<std::size_t>(id.value())].name;
+}
+
+void write_op(Writer& w, const pos::Op& op) {
+  w.begin_object();
+  const auto name = [&w](const char* op_name) -> Writer& {
+    return w.key("op").string(op_name);
+  };
   std::visit(
       [&](const auto& v) {
         using T = std::decay_t<decltype(v)>;
         if constexpr (std::is_same_v<T, pos::OpCompute>) {
-          o["op"] = Value{"compute"};
-          o["ticks"] = Value{v.ticks};
+          name("compute").key("ticks").integer(v.ticks);
         } else if constexpr (std::is_same_v<T, pos::OpPeriodicWait>) {
-          o["op"] = Value{"periodic_wait"};
+          name("periodic_wait");
         } else if constexpr (std::is_same_v<T, pos::OpSporadicWait>) {
-          o["op"] = Value{"sporadic_wait"};
+          name("sporadic_wait");
         } else if constexpr (std::is_same_v<T, pos::OpReleaseProcess>) {
-          o["op"] = Value{"release_process"};
-          o["process"] = Value{v.process};
+          name("release_process").key("process").string(v.process);
         } else if constexpr (std::is_same_v<T, pos::OpTimedWait>) {
-          o["op"] = Value{"timed_wait"};
-          o["delay"] = Value{v.delay};
+          w.key("delay").integer(v.delay);
+          name("timed_wait");
         } else if constexpr (std::is_same_v<T, pos::OpSuspendSelf>) {
-          o["op"] = Value{"suspend_self"};
-          o["timeout"] = Value{time_out(v.timeout)};
+          name("suspend_self").key("timeout").integer(time_out(v.timeout));
         } else if constexpr (std::is_same_v<T, pos::OpStopSelf>) {
-          o["op"] = Value{"stop_self"};
+          name("stop_self");
         } else if constexpr (std::is_same_v<T, pos::OpReplenish>) {
-          o["op"] = Value{"replenish"};
-          o["budget"] = Value{v.budget};
+          w.key("budget").integer(v.budget);
+          name("replenish");
         } else if constexpr (std::is_same_v<T, pos::OpLockPreemption>) {
-          o["op"] = Value{"lock_preemption"};
+          name("lock_preemption");
         } else if constexpr (std::is_same_v<T, pos::OpUnlockPreemption>) {
-          o["op"] = Value{"unlock_preemption"};
+          name("unlock_preemption");
         } else if constexpr (std::is_same_v<T, pos::OpSemWait>) {
-          o["op"] = Value{"sem_wait"};
-          o["semaphore"] = Value{v.semaphore};
-          o["timeout"] = Value{time_out(v.timeout)};
+          name("sem_wait").key("semaphore").integer(v.semaphore);
+          w.key("timeout").integer(time_out(v.timeout));
         } else if constexpr (std::is_same_v<T, pos::OpSemSignal>) {
-          o["op"] = Value{"sem_signal"};
-          o["semaphore"] = Value{v.semaphore};
+          name("sem_signal").key("semaphore").integer(v.semaphore);
         } else if constexpr (std::is_same_v<T, pos::OpEventSet>) {
-          o["op"] = Value{"event_set"};
-          o["event"] = Value{v.event};
+          w.key("event").integer(v.event);
+          name("event_set");
         } else if constexpr (std::is_same_v<T, pos::OpEventReset>) {
-          o["op"] = Value{"event_reset"};
-          o["event"] = Value{v.event};
+          w.key("event").integer(v.event);
+          name("event_reset");
         } else if constexpr (std::is_same_v<T, pos::OpEventWait>) {
-          o["op"] = Value{"event_wait"};
-          o["event"] = Value{v.event};
-          o["timeout"] = Value{time_out(v.timeout)};
+          w.key("event").integer(v.event);
+          name("event_wait").key("timeout").integer(time_out(v.timeout));
         } else if constexpr (std::is_same_v<T, pos::OpBufferSend>) {
-          o["op"] = Value{"buffer_send"};
-          o["buffer"] = Value{v.buffer};
-          o["message"] = Value{v.message};
-          o["timeout"] = Value{time_out(v.timeout)};
+          w.key("buffer").integer(v.buffer).key("message").string(v.message);
+          name("buffer_send").key("timeout").integer(time_out(v.timeout));
         } else if constexpr (std::is_same_v<T, pos::OpBufferReceive>) {
-          o["op"] = Value{"buffer_receive"};
-          o["buffer"] = Value{v.buffer};
-          o["timeout"] = Value{time_out(v.timeout)};
+          w.key("buffer").integer(v.buffer);
+          name("buffer_receive").key("timeout").integer(time_out(v.timeout));
         } else if constexpr (std::is_same_v<T, pos::OpBlackboardDisplay>) {
-          o["op"] = Value{"blackboard_display"};
-          o["blackboard"] = Value{v.blackboard};
-          o["message"] = Value{v.message};
+          w.key("blackboard").integer(v.blackboard);
+          w.key("message").string(v.message);
+          name("blackboard_display");
         } else if constexpr (std::is_same_v<T, pos::OpBlackboardRead>) {
-          o["op"] = Value{"blackboard_read"};
-          o["blackboard"] = Value{v.blackboard};
-          o["timeout"] = Value{time_out(v.timeout)};
+          w.key("blackboard").integer(v.blackboard);
+          name("blackboard_read").key("timeout").integer(time_out(v.timeout));
         } else if constexpr (std::is_same_v<T, pos::OpSamplingWrite>) {
-          o["op"] = Value{"sampling_write"};
-          o["port"] = Value{v.port};
-          o["message"] = Value{v.message};
+          w.key("message").string(v.message);
+          name("sampling_write").key("port").integer(v.port);
         } else if constexpr (std::is_same_v<T, pos::OpSamplingRead>) {
-          o["op"] = Value{"sampling_read"};
-          o["port"] = Value{v.port};
+          name("sampling_read").key("port").integer(v.port);
         } else if constexpr (std::is_same_v<T, pos::OpQueuingSend>) {
-          o["op"] = Value{"queuing_send"};
-          o["port"] = Value{v.port};
-          o["message"] = Value{v.message};
-          o["timeout"] = Value{time_out(v.timeout)};
+          w.key("message").string(v.message);
+          name("queuing_send").key("port").integer(v.port);
+          w.key("timeout").integer(time_out(v.timeout));
         } else if constexpr (std::is_same_v<T, pos::OpQueuingReceive>) {
-          o["op"] = Value{"queuing_receive"};
-          o["port"] = Value{v.port};
-          o["timeout"] = Value{time_out(v.timeout)};
+          name("queuing_receive").key("port").integer(v.port);
+          w.key("timeout").integer(time_out(v.timeout));
         } else if constexpr (std::is_same_v<T, pos::OpSetModuleSchedule>) {
-          o["op"] = Value{"set_module_schedule"};
-          o["schedule"] = Value{v.schedule};
+          name("set_module_schedule").key("schedule").integer(v.schedule);
         } else if constexpr (std::is_same_v<T, pos::OpRaiseError>) {
-          o["op"] = Value{"raise_error"};
-          o["code"] = Value{v.code};
-          o["message"] = Value{v.message};
+          w.key("code").integer(v.code).key("message").string(v.message);
+          name("raise_error");
         } else if constexpr (std::is_same_v<T, pos::OpTryDisableClockIrq>) {
-          o["op"] = Value{"try_disable_clock_irq"};
+          name("try_disable_clock_irq");
         } else if constexpr (std::is_same_v<T, pos::OpMemoryAccess>) {
-          o["op"] = Value{"memory_access"};
-          o["vaddr"] = Value{static_cast<std::int64_t>(v.vaddr)};
-          o["write"] = Value{v.write};
+          name("memory_access").key("vaddr").integer(v.vaddr);
+          w.key("write").boolean(v.write);
         } else if constexpr (std::is_same_v<T, pos::OpStopProcess>) {
-          o["op"] = Value{"stop_process"};
-          o["process"] = Value{v.process};
+          name("stop_process").key("process").string(v.process);
         } else if constexpr (std::is_same_v<T, pos::OpStartProcess>) {
-          o["op"] = Value{"start_process"};
-          o["process"] = Value{v.process};
+          name("start_process").key("process").string(v.process);
         } else if constexpr (std::is_same_v<T, pos::OpLog>) {
-          o["op"] = Value{"log"};
-          o["text"] = Value{v.text};
+          name("log").key("text").string(v.text);
         } else if constexpr (std::is_same_v<T, pos::OpGoto>) {
-          o["op"] = Value{"goto"};
-          o["target"] = Value{static_cast<std::int64_t>(v.target)};
+          name("goto").key("target").integer(v.target);
         }
       },
       op);
-  return Value{std::move(o)};
+  w.end_object();
 }
 
-Value script_to_json(const pos::Script& script) {
-  Array ops;
-  for (const auto& op : script) ops.push_back(op_to_json(op));
-  return Value{std::move(ops)};
+void write_script(Writer& w, const pos::Script& script) {
+  w.begin_array();
+  for (const auto& op : script) write_op(w, op);
+  w.end_array();
 }
 
-const char* error_code_name(hm::ErrorCode code) { return to_string(code); }
-
-const char* level_name(hm::ErrorLevel level) { return to_string(level); }
-
-const char* action_name(hm::RecoveryAction action) {
-  return to_string(action);
-}
-
-Value hm_table_to_json(const hm::HmTable& table) {
-  Array entries;
+void write_hm_table(Writer& w, const hm::HmTable& table) {
+  w.begin_array();
   for (const auto& [key, entry] : table.entries()) {
-    Object e;
-    e["error"] = Value{error_code_name(key.first)};
-    e["level"] = Value{level_name(key.second)};
-    e["action"] = Value{action_name(entry.action)};
-    e["threshold"] =
-        Value{static_cast<std::int64_t>(entry.log_threshold)};
-    entries.push_back(Value{std::move(e)});
+    w.begin_object().key("action").string(to_string(entry.action));
+    w.key("error").string(to_string(key.first));
+    w.key("level").string(to_string(key.second));
+    w.key("threshold").integer(entry.log_threshold).end_object();
   }
-  return Value{std::move(entries)};
+  w.end_array();
 }
 
 const char* direction_name(ipc::PortDirection d) {
@@ -161,228 +138,161 @@ const char* discipline_name(ipc::QueuingDiscipline d) {
   return d == ipc::QueuingDiscipline::kFifo ? "fifo" : "priority";
 }
 
-Value partition_to_json(const system::PartitionConfig& p) {
-  Object o;
-  o["name"] = Value{p.name};
-  o["system"] = Value{p.system_partition};
-  o["pos"] =
-      Value{p.pos_kind == pos::Policy::kRoundRobin ? "generic" : "rt"};
-  o["registry"] = Value{
-      p.deadline_registry == pal::RegistryKind::kTree ? "tree" : "list"};
-
-  Array processes;
-  for (const auto& process : p.processes) {
-    Object pr;
-    pr["name"] = Value{process.attrs.name};
-    pr["period"] = Value{time_out(process.attrs.period)};
-    pr["time_capacity"] = Value{time_out(process.attrs.time_capacity)};
-    pr["priority"] = Value{process.attrs.priority};
-    pr["stack_bytes"] =
-        Value{static_cast<std::int64_t>(process.attrs.stack_bytes)};
-    pr["sporadic"] = Value{process.attrs.sporadic};
-    pr["auto_start"] = Value{process.auto_start};
-    pr["script"] = script_to_json(process.attrs.script);
-    processes.push_back(Value{std::move(pr)});
-  }
-  o["processes"] = Value{std::move(processes)};
-
-  Array sampling;
-  for (const auto& port : p.sampling_ports) {
-    Object s;
-    s["name"] = Value{port.name};
-    s["direction"] = Value{direction_name(port.direction)};
-    s["max_bytes"] =
-        Value{static_cast<std::int64_t>(port.max_message_bytes)};
-    s["refresh"] = Value{time_out(port.refresh_period)};
-    sampling.push_back(Value{std::move(s)});
-  }
-  o["sampling_ports"] = Value{std::move(sampling)};
-
-  Array queuing;
-  for (const auto& port : p.queuing_ports) {
-    Object q;
-    q["name"] = Value{port.name};
-    q["direction"] = Value{direction_name(port.direction)};
-    q["max_bytes"] =
-        Value{static_cast<std::int64_t>(port.max_message_bytes)};
-    q["capacity"] = Value{static_cast<std::int64_t>(port.capacity)};
-    q["discipline"] = Value{discipline_name(port.discipline)};
-    queuing.push_back(Value{std::move(q)});
-  }
-  o["queuing_ports"] = Value{std::move(queuing)};
-
-  Array buffers;
-  for (const auto& buffer : p.buffers) {
-    Object b;
-    b["name"] = Value{buffer.name};
-    b["max_bytes"] =
-        Value{static_cast<std::int64_t>(buffer.max_message_bytes)};
-    b["capacity"] = Value{static_cast<std::int64_t>(buffer.capacity)};
-    b["discipline"] = Value{discipline_name(buffer.discipline)};
-    buffers.push_back(Value{std::move(b)});
-  }
-  o["buffers"] = Value{std::move(buffers)};
-
-  Array blackboards;
+void write_partition(Writer& w, const system::PartitionConfig& p) {
+  w.begin_object().key("blackboards").begin_array();
   for (const auto& bb : p.blackboards) {
-    Object b;
-    b["name"] = Value{bb.name};
-    b["max_bytes"] =
-        Value{static_cast<std::int64_t>(bb.max_message_bytes)};
-    blackboards.push_back(Value{std::move(b)});
+    w.begin_object().key("max_bytes").integer(bb.max_message_bytes);
+    w.key("name").string(bb.name).end_object();
   }
-  o["blackboards"] = Value{std::move(blackboards)};
-
-  Array semaphores;
-  for (const auto& sem : p.semaphores) {
-    Object s;
-    s["name"] = Value{sem.name};
-    s["initial"] = Value{sem.initial};
-    s["maximum"] = Value{sem.maximum};
-    s["discipline"] = Value{discipline_name(sem.discipline)};
-    semaphores.push_back(Value{std::move(s)});
+  w.end_array().key("buffers").begin_array();
+  for (const auto& buffer : p.buffers) {
+    w.begin_object().key("capacity").integer(buffer.capacity);
+    w.key("discipline").string(discipline_name(buffer.discipline));
+    w.key("max_bytes").integer(buffer.max_message_bytes);
+    w.key("name").string(buffer.name).end_object();
   }
-  o["semaphores"] = Value{std::move(semaphores)};
-
-  Array events;
-  for (const auto& event : p.events) {
-    Object e;
-    e["name"] = Value{event.name};
-    events.push_back(Value{std::move(e)});
-  }
-  o["events"] = Value{std::move(events)};
-
+  w.end_array();
   if (!p.error_handler.empty()) {
-    o["error_handler"] = script_to_json(p.error_handler);
+    write_script(w.key("error_handler"), p.error_handler);
   }
-  o["hm_table"] = hm_table_to_json(p.hm_table);
-  return Value{std::move(o)};
+  w.key("events").begin_array();
+  for (const auto& event : p.events) {
+    w.begin_object().key("name").string(event.name).end_object();
+  }
+  w.end_array();
+  write_hm_table(w.key("hm_table"), p.hm_table);
+  w.key("name").string(p.name);
+  w.key("pos").string(p.pos_kind == pos::Policy::kRoundRobin ? "generic"
+                                                             : "rt");
+  w.key("processes").begin_array();
+  for (const auto& process : p.processes) {
+    w.begin_object().key("auto_start").boolean(process.auto_start);
+    w.key("name").string(process.attrs.name);
+    w.key("period").integer(time_out(process.attrs.period));
+    w.key("priority").integer(process.attrs.priority);
+    write_script(w.key("script"), process.attrs.script);
+    w.key("sporadic").boolean(process.attrs.sporadic);
+    w.key("stack_bytes").integer(process.attrs.stack_bytes);
+    w.key("time_capacity").integer(time_out(process.attrs.time_capacity));
+    w.end_object();
+  }
+  w.end_array().key("queuing_ports").begin_array();
+  for (const auto& port : p.queuing_ports) {
+    w.begin_object().key("capacity").integer(port.capacity);
+    w.key("direction").string(direction_name(port.direction));
+    w.key("discipline").string(discipline_name(port.discipline));
+    w.key("max_bytes").integer(port.max_message_bytes);
+    w.key("name").string(port.name).end_object();
+  }
+  w.end_array();
+  w.key("registry").string(
+      p.deadline_registry == pal::RegistryKind::kTree ? "tree" : "list");
+  w.key("sampling_ports").begin_array();
+  for (const auto& port : p.sampling_ports) {
+    w.begin_object().key("direction").string(direction_name(port.direction));
+    w.key("max_bytes").integer(port.max_message_bytes);
+    w.key("name").string(port.name);
+    w.key("refresh").integer(time_out(port.refresh_period)).end_object();
+  }
+  w.end_array().key("semaphores").begin_array();
+  for (const auto& sem : p.semaphores) {
+    w.begin_object().key("discipline").string(discipline_name(sem.discipline));
+    w.key("initial").integer(sem.initial).key("maximum").integer(sem.maximum);
+    w.key("name").string(sem.name).end_object();
+  }
+  w.end_array().key("system").boolean(p.system_partition).end_object();
 }
 
-Value schedule_to_json(const model::Schedule& s,
-                       const system::ModuleConfig& config) {
-  Object o;
-  o["id"] = Value{s.id.value()};
-  o["name"] = Value{s.name};
-  o["mtf"] = Value{s.mtf};
-  Array reqs;
+void write_schedule(Writer& w, const model::Schedule& s,
+                    const system::ModuleConfig& config) {
+  w.begin_object();
+  const auto& actions = config.change_actions;
+  if (std::any_of(actions.begin(), actions.end(),
+                  [&s](const auto& a) { return a.first.first == s.id; })) {
+    w.key("change_actions").begin_array();
+    for (const auto& [key, action] : actions) {
+      if (key.first != s.id) continue;
+      w.begin_object().key("action").string(
+          action == pmk::ScheduleChangeAction::kWarmRestart   ? "warm_restart"
+          : action == pmk::ScheduleChangeAction::kColdRestart ? "cold_restart"
+                                                              : "none");
+      w.key("partition").string(partition_name(config, key.second));
+      w.end_object();
+    }
+    w.end_array();
+  }
+  w.key("id").integer(s.id.value()).key("mtf").integer(s.mtf);
+  w.key("name").string(s.name).key("requirements").begin_array();
   for (const auto& req : s.requirements) {
-    Object r;
-    r["partition"] = Value{
-        config.partitions[static_cast<std::size_t>(req.partition.value())]
-            .name};
-    r["period"] = Value{req.period};
-    r["duration"] = Value{req.duration};
-    reqs.push_back(Value{std::move(r)});
+    w.begin_object().key("duration").integer(req.duration);
+    w.key("partition").string(partition_name(config, req.partition));
+    w.key("period").integer(req.period).end_object();
   }
-  o["requirements"] = Value{std::move(reqs)};
-  Array windows;
-  for (const auto& w : s.windows) {
-    Object win;
-    win["partition"] = Value{
-        config.partitions[static_cast<std::size_t>(w.partition.value())]
-            .name};
-    win["offset"] = Value{w.offset};
-    win["duration"] = Value{w.duration};
-    windows.push_back(Value{std::move(win)});
+  w.end_array().key("windows").begin_array();
+  for (const auto& win : s.windows) {
+    w.begin_object().key("duration").integer(win.duration);
+    w.key("offset").integer(win.offset);
+    w.key("partition").string(partition_name(config, win.partition));
+    w.end_object();
   }
-  o["windows"] = Value{std::move(windows)};
-
-  Array actions;
-  for (const auto& [key, action] : config.change_actions) {
-    if (key.first != s.id) continue;
-    Object a;
-    a["partition"] = Value{
-        config.partitions[static_cast<std::size_t>(key.second.value())]
-            .name};
-    a["action"] =
-        Value{action == pmk::ScheduleChangeAction::kWarmRestart
-                  ? "warm_restart"
-                  : action == pmk::ScheduleChangeAction::kColdRestart
-                        ? "cold_restart"
-                        : "none"};
-    actions.push_back(Value{std::move(a)});
-  }
-  if (!actions.empty()) o["change_actions"] = Value{std::move(actions)};
-  return Value{std::move(o)};
+  w.end_array().end_object();
 }
 
 }  // namespace
 
 std::string to_json(const system::ModuleConfig& config) {
-  Object root;
-  root["name"] = Value{config.name};
-  root["id"] = Value{config.id.value()};
-  root["memory_bytes"] =
-      Value{static_cast<std::int64_t>(config.memory_bytes)};
-  root["validate"] = Value{config.validate};
-  root["initial_schedule"] = Value{config.initial_schedule.value()};
-
-  Array partitions;
-  for (const auto& p : config.partitions) {
-    partitions.push_back(partition_to_json(p));
+  std::string out;
+  Writer w(out, 2);
+  w.begin_object().key("channels").begin_array();
+  for (const auto& channel : config.channels) {
+    w.begin_object().key("destinations").begin_array();
+    for (const auto& dest : channel.local_destinations) {
+      w.begin_object().key("partition");
+      w.string(partition_name(config, dest.partition));
+      w.key("port").string(dest.port).end_object();
+    }
+    for (const auto& dest : channel.remote_destinations) {
+      w.begin_object().key("module").integer(dest.module.value());
+      w.key("partition_id").integer(dest.partition.value());
+      w.key("port").string(dest.port).end_object();
+    }
+    w.end_array().key("kind").string(
+        channel.kind == ipc::ChannelKind::kSampling ? "sampling" : "queuing");
+    w.key("source").begin_object();
+    w.key("partition").string(partition_name(config, channel.source.partition));
+    w.key("port").string(channel.source.port).end_object().end_object();
   }
-  root["partitions"] = Value{std::move(partitions)};
+  w.end_array();
 
   // Schedules: the flat list plus, for multicore configs, the per-core id
   // references. When `cores` is set, the flat list is the union.
-  Array schedules;
-  if (config.cores.empty()) {
-    for (const auto& s : config.schedules) {
-      schedules.push_back(schedule_to_json(s, config));
-    }
-  } else {
-    Array cores;
+  if (!config.cores.empty()) {
+    w.key("cores").begin_array();
     for (const auto& core : config.cores) {
-      Object c;
-      Array ids;
-      for (const auto& s : core.schedules) {
-        schedules.push_back(schedule_to_json(s, config));
-        ids.push_back(Value{s.id.value()});
-      }
-      c["schedules"] = Value{std::move(ids)};
-      c["initial_schedule"] = Value{core.initial_schedule.value()};
-      cores.push_back(Value{std::move(c)});
+      w.begin_object();
+      w.key("initial_schedule").integer(core.initial_schedule.value());
+      w.key("schedules").begin_array();
+      for (const auto& s : core.schedules) w.integer(s.id.value());
+      w.end_array().end_object();
     }
-    root["cores"] = Value{std::move(cores)};
+    w.end_array();
   }
-  root["schedules"] = Value{std::move(schedules)};
-
-  Array channels;
-  for (const auto& channel : config.channels) {
-    Object c;
-    c["kind"] = Value{
-        channel.kind == ipc::ChannelKind::kSampling ? "sampling" : "queuing"};
-    Object source;
-    source["partition"] = Value{
-        config.partitions[static_cast<std::size_t>(
-                              channel.source.partition.value())]
-            .name};
-    source["port"] = Value{channel.source.port};
-    c["source"] = Value{std::move(source)};
-    Array destinations;
-    for (const auto& dest : channel.local_destinations) {
-      Object d;
-      d["partition"] = Value{
-          config.partitions[static_cast<std::size_t>(dest.partition.value())]
-              .name};
-      d["port"] = Value{dest.port};
-      destinations.push_back(Value{std::move(d)});
+  w.key("id").integer(config.id.value());
+  w.key("initial_schedule").integer(config.initial_schedule.value());
+  w.key("memory_bytes").integer(config.memory_bytes);
+  write_hm_table(w.key("module_hm_table"), config.module_hm_table);
+  w.key("name").string(config.name).key("partitions").begin_array();
+  for (const auto& p : config.partitions) write_partition(w, p);
+  w.end_array().key("schedules").begin_array();
+  if (config.cores.empty()) {
+    for (const auto& s : config.schedules) write_schedule(w, s, config);
+  } else {
+    for (const auto& core : config.cores) {
+      for (const auto& s : core.schedules) write_schedule(w, s, config);
     }
-    for (const auto& dest : channel.remote_destinations) {
-      Object d;
-      d["module"] = Value{dest.module.value()};
-      d["partition_id"] = Value{dest.partition.value()};
-      d["port"] = Value{dest.port};
-      destinations.push_back(Value{std::move(d)});
-    }
-    c["destinations"] = Value{std::move(destinations)};
-    channels.push_back(Value{std::move(c)});
   }
-  root["channels"] = Value{std::move(channels)};
-  root["module_hm_table"] = hm_table_to_json(config.module_hm_table);
-
-  return Value{std::move(root)}.dump(2);
+  w.end_array().key("validate").boolean(config.validate).end_object();
+  return out;
 }
 
 }  // namespace air::config

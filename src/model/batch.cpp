@@ -78,7 +78,7 @@ namespace {
 /// over the same MTF share one supply.
 [[nodiscard]] std::string supply_key(const Schedule& schedule,
                                      PartitionId partition) {
-  std::string key = "m" + std::to_string(schedule.mtf) + '|';
+  std::string key = 'm' + std::to_string(schedule.mtf) + '|';
   for (const Window& w : schedule.windows) {
     if (w.partition != partition) continue;
     key += std::to_string(w.offset);
@@ -503,7 +503,7 @@ std::vector<Candidate> generate_candidates(const CandidateSpec& spec) {
       const ScheduleRequirement& req = set.reqs[static_cast<std::size_t>(p)];
       PartitionModel pm;
       pm.id = PartitionId{p};
-      pm.name = "P" + std::to_string(p);
+      pm.name = 'P' + std::to_string(p);
       if (set.infeasible) {
         // Analysis never runs on infeasible candidates; keep a token set.
         pm.processes.push_back({"q0", req.period, req.period, 10, 3, true});
@@ -521,7 +521,7 @@ std::vector<Candidate> generate_candidates(const CandidateSpec& spec) {
           const Ticks period = req.period * rng.uniform(1, 2);
           const Ticks compute = std::max<Ticks>(
               1, req.duration / (2 * processes) + rng.uniform(-2, 2));
-          pm.processes.push_back({"q" + std::to_string(q), period, period,
+          pm.processes.push_back({'q' + std::to_string(q), period, period,
                                   static_cast<Priority>(10 + q), compute + 1,
                                   true});
         }

@@ -136,7 +136,7 @@ ModuleConfig flight_config(const model::Candidate& candidate,
   }
   config.partitions.resize(static_cast<std::size_t>(max_id + 1));
   for (std::size_t p = 0; p < config.partitions.size(); ++p) {
-    config.partitions[p].name = "P" + std::to_string(p);
+    config.partitions[p].name = 'P' + std::to_string(p);
     config.partitions[p].hm_table = table;
   }
 

@@ -5,18 +5,13 @@
 #include <map>
 #include <set>
 
-// Same GCC 12 -Wmaybe-uninitialized false positive as trace_export.cpp
-// (variant move machinery inside json::Value at -O2, GCC PR 105562 family).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
+#include "util/trace_export.hpp"
 
 namespace air::telemetry {
 
 namespace {
 
-using util::json::Array;
-using util::json::Object;
+using util::ChromeTrace;
 using util::json::Value;
 
 bool parse_into(const std::string& text, Value& out, std::string* error) {
@@ -88,28 +83,10 @@ std::int64_t counter_of(const Value& metrics_doc, std::string_view name,
 
 // ---------- Chrome Trace Event emission ----------
 
-Value metadata(const char* what, std::int64_t pid, std::int64_t tid,
-               std::string name) {
-  Object event;
-  event["name"] = Value{std::string{what}};
-  event["ph"] = Value{"M"};
-  event["pid"] = Value{pid};
-  if (tid >= 0) event["tid"] = Value{tid};
-  Object args;
-  args["name"] = Value{std::move(name)};
-  event["args"] = Value{std::move(args)};
-  return Value{std::move(event)};
-}
-
-Object event_at(std::string name, const char* ph, double ts, std::int64_t pid,
-                std::int64_t tid) {
-  Object event;
-  event["name"] = Value{std::move(name)};
-  event["ph"] = Value{ph};
-  event["ts"] = Value{ts};
-  event["pid"] = Value{pid};
-  event["tid"] = Value{tid};
-  return event;
+void metadata(ChromeTrace& chrome, const char* what, std::int64_t pid,
+              std::optional<std::int64_t> tid, std::string_view name) {
+  chrome.event({.name = what, .ph = "M", .pid = pid, .tid = tid},
+               [&](util::json::Writer& w) { w.key("name").string(name); });
 }
 
 std::string hex_id(std::uint64_t id) {
@@ -122,7 +99,7 @@ std::string hex_id(std::uint64_t id) {
 /// Control-plane track (schedule switches, module-level HM reports).
 constexpr std::int64_t kControlTid = 900;
 
-void emit_span_events(const Row& row, double tick_us, Array& events) {
+void emit_span_events(const Row& row, double tick_us, ChromeTrace& chrome) {
   const auto pid = static_cast<std::int64_t>(row.module);
   const double ts = static_cast<double>(row.start) * tick_us;
   const double dur =
@@ -130,31 +107,24 @@ void emit_span_events(const Row& row, double tick_us, Array& events) {
                            : 0.0;
   if (row.kind == "partition_window") {
     if (row.end < 0) return;  // still open at export time
-    Object slice =
-        event_at("P" + std::to_string(row.a + 1) + " window", "X", ts, pid,
-                 row.a);
-    slice["dur"] = Value{dur};
-    events.push_back(Value{std::move(slice)});
+    chrome.event({.name = "P" + std::to_string(row.a + 1) + " window",
+                  .ph = "X", .ts = ts, .dur = dur, .pid = pid, .tid = row.a});
     return;
   }
   if (row.kind == "job") {
     if (row.end < 0) return;
     const std::string name =
         "P" + std::to_string(row.a + 1) + " job proc" + std::to_string(row.b);
-    Object begin = event_at(name, "b", ts, pid, row.a);
-    begin["cat"] = Value{"job"};
-    begin["id"] = Value{hex_id(row.id)};
-    Object args;
-    args["deadline"] = Value{row.c};
-    args["status"] = Value{row.status};
-    begin["args"] = Value{std::move(args)};
-    events.push_back(Value{std::move(begin)});
-    Object finish = event_at(name, "e",
-                             static_cast<double>(row.end) * tick_us, pid,
-                             row.a);
-    finish["cat"] = Value{"job"};
-    finish["id"] = Value{hex_id(row.id)};
-    events.push_back(Value{std::move(finish)});
+    const std::string id = hex_id(row.id);
+    chrome.event({.name = name, .ph = "b", .ts = ts, .pid = pid,
+                  .tid = row.a, .cat = "job", .id = id},
+                 [&](util::json::Writer& w) {
+                   w.key("deadline").integer(row.c);
+                   w.key("status").string(row.status);
+                 });
+    chrome.event({.name = name, .ph = "e",
+                  .ts = static_cast<double>(row.end) * tick_us, .pid = pid,
+                  .tid = row.a, .cat = "job", .id = id});
     return;
   }
   if (row.kind == "msg_send" || row.kind == "msg_router_hop" ||
@@ -165,37 +135,30 @@ void emit_span_events(const Row& row, double tick_us, Array& events) {
     if (row.kind == "msg_bus_transit") {
       name += " M" + std::to_string(row.a) + "->M" + std::to_string(row.b);
     }
-    Object slice = event_at(name, "X", ts, pid, tid);
-    slice["dur"] = Value{dur};
-    events.push_back(Value{std::move(slice)});
+    chrome.event({.name = name, .ph = "X", .ts = ts, .dur = dur, .pid = pid,
+                  .tid = tid});
     // Flow arrow: start at the send leg, step through hops and transit,
     // terminate at the receive leg. Perfetto binds each to the slice above.
     const char* ph = row.kind == "msg_send"      ? "s"
                      : row.kind == "msg_receive" ? "f"
                                                  : "t";
-    Object flow = event_at("msg flow", ph, ts, pid, tid);
-    flow["cat"] = Value{"msg"};
-    flow["id"] = Value{hex_id(row.trace_id)};
-    if (row.kind == "msg_receive") flow["bp"] = Value{"e"};
-    events.push_back(Value{std::move(flow)});
+    chrome.event({.name = "msg flow", .ph = ph, .ts = ts, .pid = pid,
+                  .tid = tid, .cat = "msg", .id = hex_id(row.trace_id),
+                  .bp = row.kind == "msg_receive" ? "e" : ""});
     return;
   }
   if (row.kind == "hm_handler") {
-    Object event = event_at(row.label.empty() ? "HM handler"
-                                              : "HM " + row.label,
-                            "i", ts, pid, row.a >= 0 ? row.a : kControlTid);
-    event["s"] = Value{"t"};
-    events.push_back(Value{std::move(event)});
+    chrome.event({.name = row.label.empty() ? "HM handler" : "HM " + row.label,
+                  .ph = "i", .ts = ts, .pid = pid,
+                  .tid = row.a >= 0 ? row.a : kControlTid, .s = "t"});
     return;
   }
   if (row.kind == "schedule_switch") {
     if (row.end < 0) return;  // switch requested but not yet in effect
-    Object slice =
-        event_at("schedule " + std::to_string(row.b) + " -> " +
-                     std::to_string(row.a),
-                 "X", ts, pid, kControlTid);
-    slice["dur"] = Value{dur};
-    events.push_back(Value{std::move(slice)});
+    chrome.event({.name = "schedule " + std::to_string(row.b) + " -> " +
+                          std::to_string(row.a),
+                  .ph = "X", .ts = ts, .dur = dur, .pid = pid,
+                  .tid = kControlTid});
   }
 }
 
@@ -246,14 +209,14 @@ AnalysisResult analyze(const AnalysisInput& input) {
   });
 
   // ---------- Chrome trace ----------
-  Array events;
+  ChromeTrace chrome;
   for (std::size_t i = 0; i < input.modules.size(); ++i) {
-    events.push_back(metadata("process_name", static_cast<std::int64_t>(i),
-                              -1, input.modules[i].name));
+    metadata(chrome, "process_name", static_cast<std::int64_t>(i),
+             std::nullopt, input.modules[i].name);
   }
   if (!bus_rows.empty()) {
-    events.push_back(metadata(
-        "process_name", static_cast<std::int64_t>(bus_index), -1, "bus"));
+    metadata(chrome, "process_name", static_cast<std::int64_t>(bus_index),
+             std::nullopt, "bus");
   }
   std::set<std::pair<std::int64_t, std::int64_t>> named_tracks;
   for (const Row& row : rows) {
@@ -263,14 +226,13 @@ AnalysisResult analyze(const AnalysisInput& input) {
                                  ? 0
                                  : std::max<std::int64_t>(row.a, 0);
     if (named_tracks.insert({pid, tid}).second) {
-      events.push_back(metadata(
-          "thread_name", pid, tid,
-          row.module == bus_index ? "transit"
-          : tid == kControlTid    ? "control"
-                                  : "partition " + std::to_string(tid)));
+      metadata(chrome, "thread_name", pid, tid,
+               row.module == bus_index ? "transit"
+               : tid == kControlTid    ? "control"
+                                       : "partition " + std::to_string(tid));
     }
   }
-  for (const Row& row : rows) emit_span_events(row, input.tick_us, events);
+  for (const Row& row : rows) emit_span_events(row, input.tick_us, chrome);
 
   // ---------- flow connectivity ----------
   struct Flow {
@@ -471,10 +433,7 @@ AnalysisResult analyze(const AnalysisInput& input) {
     }
   }
 
-  Object root;
-  root["traceEvents"] = Value{std::move(events)};
-  root["displayTimeUnit"] = Value{"ms"};
-  result.chrome_trace = Value{std::move(root)}.dump(2);
+  result.chrome_trace = chrome.finish();
   return result;
 }
 

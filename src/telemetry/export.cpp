@@ -2,19 +2,9 @@
 
 #include "util/json.hpp"
 
-// Same GCC 12 -Wmaybe-uninitialized false positive as trace_export.cpp
-// (variant move machinery inside json::Value at -O2, GCC PR 105562 family).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
 namespace air::telemetry {
 
 namespace {
-
-using util::json::Array;
-using util::json::Object;
-using util::json::Value;
 
 const char* kind_name(MetricKind kind) {
   switch (kind) {
@@ -44,42 +34,40 @@ std::string csv_escape(std::string_view field) {
 }
 
 std::string to_json(const MetricsSnapshot& snapshot, int indent) {
-  Array metrics;
+  std::string out;
+  util::json::Writer w(out, indent);
+  w.begin_object().key("metrics").begin_array();
   for (const MetricSample& s : snapshot.samples) {
-    Object row;
-    row["name"] = Value{std::string{to_string(s.metric)}};
-    row["index"] = Value{std::int64_t{s.index}};
-    row["kind"] = Value{kind_name(s.kind)};
+    w.begin_object();  // members in name order, as every export writes them
+    if (s.kind == MetricKind::kHistogram) {
+      w.key("buckets").begin_array();
+      for (const std::uint64_t b : s.histogram.buckets) w.integer(b);
+      w.end_array().key("count").integer(s.histogram.count);
+    }
+    w.key("index").integer(s.index).key("kind").string(kind_name(s.kind));
     switch (s.kind) {
       case MetricKind::kCounter:
-        row["value"] = Value{static_cast<std::int64_t>(s.counter)};
+        w.key("name").string(to_string(s.metric));
+        w.key("value").integer(s.counter);
         break;
       case MetricKind::kGauge:
-        row["last"] = Value{s.gauge.last};
-        row["max"] = Value{s.gauge.max};
-        row["samples"] = Value{static_cast<std::int64_t>(s.gauge.samples)};
+        w.key("last").integer(s.gauge.last).key("max").integer(s.gauge.max);
+        w.key("name").string(to_string(s.metric));
+        w.key("samples").integer(s.gauge.samples);
         break;
-      case MetricKind::kHistogram: {
-        row["count"] = Value{static_cast<std::int64_t>(s.histogram.count)};
-        row["sum"] = Value{s.histogram.sum};
+      case MetricKind::kHistogram:
         if (s.histogram.count > 0) {
-          row["min"] = Value{s.histogram.min};
-          row["max"] = Value{s.histogram.max};
+          w.key("max").integer(s.histogram.max);
+          w.key("min").integer(s.histogram.min);
         }
-        Array buckets;
-        for (const std::uint64_t b : s.histogram.buckets) {
-          buckets.push_back(Value{static_cast<std::int64_t>(b)});
-        }
-        row["buckets"] = Value{std::move(buckets)};
+        w.key("name").string(to_string(s.metric));
+        w.key("sum").integer(s.histogram.sum);
         break;
-      }
     }
-    metrics.push_back(Value{std::move(row)});
+    w.end_object();
   }
-  Object root;
-  root["time"] = Value{snapshot.time};
-  root["metrics"] = Value{std::move(metrics)};
-  return Value{std::move(root)}.dump(indent);
+  w.end_array().key("time").integer(snapshot.time).end_object();
+  return out;
 }
 
 std::string to_csv(const MetricsSnapshot& snapshot) {

@@ -190,42 +190,31 @@ std::string HostProfiler::folded() const {
 
 std::string profile_to_json(const HostProfiler& profiler,
                             std::string_view origin, int indent) {
-  using util::json::Array;
-  using util::json::Object;
-  using util::json::Value;
-
   std::vector<std::uint32_t> order;
   preorder(profiler.nodes(), 0, order);
 
-  Object meta;
-  meta["origin"] = Value{std::string{origin}};
-  meta["stride"] = Value{static_cast<std::int64_t>(profiler.stride())};
-  meta["sampled_ticks"] =
-      Value{static_cast<std::int64_t>(profiler.ticks())};
-
-  Array paths;
+  // Members in name order, as every export writes them.
+  std::string out;
+  util::json::Writer w(out, indent);
+  w.begin_object().key("meta").begin_object().key("origin").string(origin);
+  w.key("sampled_ticks").integer(profiler.ticks());
+  w.key("stride").integer(profiler.stride()).end_object();
+  w.key("paths").begin_array();
   for (const std::uint32_t index : order) {
     const HostProfiler::Node& node = profiler.nodes()[index];
     if (node.stats.calls == 0) continue;
-    Object row;
-    row["path"] = Value{profiler.path(index)};
-    row["point"] = Value{std::string{to_string(node.point)}};
-    row["depth"] = Value{static_cast<std::int64_t>(node.depth)};
-    row["calls"] = Value{static_cast<std::int64_t>(node.stats.calls)};
-    row["total_ns"] = Value{static_cast<std::int64_t>(node.stats.total_ns)};
-    row["self_ns"] = Value{static_cast<std::int64_t>(profiler.self_ns(index))};
-    row["max_ns"] = Value{static_cast<std::int64_t>(node.stats.max_ns)};
-    row["arena_bytes"] =
-        Value{static_cast<std::int64_t>(node.stats.arena_bytes)};
-    row["heap_allocs"] =
-        Value{static_cast<std::int64_t>(node.stats.heap_allocs)};
-    paths.push_back(Value{std::move(row)});
+    w.begin_object().key("arena_bytes").integer(node.stats.arena_bytes);
+    w.key("calls").integer(node.stats.calls);
+    w.key("depth").integer(node.depth);
+    w.key("heap_allocs").integer(node.stats.heap_allocs);
+    w.key("max_ns").integer(node.stats.max_ns);
+    w.key("path").string(profiler.path(index));
+    w.key("point").string(to_string(node.point));
+    w.key("self_ns").integer(profiler.self_ns(index));
+    w.key("total_ns").integer(node.stats.total_ns).end_object();
   }
-
-  Object root;
-  root["meta"] = Value{std::move(meta)};
-  root["paths"] = Value{std::move(paths)};
-  return Value{std::move(root)}.dump(indent);
+  w.end_array().end_object();
+  return out;
 }
 
 }  // namespace air::telemetry

@@ -4,12 +4,6 @@
 
 #include "util/json.hpp"
 
-// Same GCC 12 -Wmaybe-uninitialized false positive as trace_export.cpp
-// (variant move machinery inside json::Value at -O2, GCC PR 105562 family).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
 namespace air::telemetry {
 
 std::string_view to_string(SpanKind kind) {
@@ -326,49 +320,6 @@ void SpanRecorder::retire(Span span) {
   closed_.push_back(span);
 }
 
-namespace {
-
-using util::json::Array;
-using util::json::Object;
-using util::json::Value;
-
-Value span_to_value(const Span& span) {
-  Object row;
-  row["id"] = Value{static_cast<std::int64_t>(span.id)};
-  row["parent"] = Value{static_cast<std::int64_t>(span.parent)};
-  row["trace_id"] = Value{static_cast<std::int64_t>(span.trace_id)};
-  row["kind"] = Value{std::string{to_string(span.kind)}};
-  row["status"] = Value{std::string{to_string(span.status)}};
-  row["start"] = Value{span.start};
-  row["end"] = Value{span.end};
-  row["a"] = Value{span.a};
-  row["b"] = Value{span.b};
-  row["c"] = Value{span.c};
-  if (!span.label.empty()) row["label"] = Value{span.label.str()};
-  return Value{std::move(row)};
-}
-
-Value anomaly_to_value(const Anomaly& anomaly) {
-  Object row;
-  row["detected_at"] = Value{anomaly.detected_at};
-  row["partition"] = Value{static_cast<std::int64_t>(anomaly.partition)};
-  row["process"] = Value{static_cast<std::int64_t>(anomaly.process)};
-  row["deadline"] = Value{anomaly.deadline};
-  Array chain;
-  for (const CauseLink& link : anomaly.chain) {
-    Object step;
-    step["what"] = Value{std::string{to_string(link.what)}};
-    step["span"] = Value{static_cast<std::int64_t>(link.span)};
-    step["at"] = Value{link.at};
-    step["detail"] = Value{detail(link)};
-    chain.push_back(Value{std::move(step)});
-  }
-  row["chain"] = Value{std::move(chain)};
-  return Value{std::move(row)};
-}
-
-}  // namespace
-
 std::string spans_to_json(const SpanRecorder& spans, int indent) {
   std::vector<Span> all(spans.closed().begin(), spans.closed().end());
   const std::vector<Span> open = spans.open_spans();
@@ -380,24 +331,40 @@ std::string spans_to_json(const SpanRecorder& spans, int indent) {
     return x.id < y.id;
   });
 
-  Object meta;
-  meta["origin"] = Value{static_cast<std::int64_t>(spans.origin())};
-  meta["recorded"] = Value{static_cast<std::int64_t>(spans.recorded_spans())};
-  meta["dropped"] = Value{static_cast<std::int64_t>(spans.dropped_spans())};
-  meta["open"] = Value{static_cast<std::int64_t>(spans.open_count())};
-
-  Array rows;
-  for (const Span& span : all) rows.push_back(span_to_value(span));
-  Array anomalies;
+  // Members in name order, as every export writes them.
+  std::string out;
+  util::json::Writer w(out, indent);
+  w.begin_object().key("anomalies").begin_array();
   for (const Anomaly& anomaly : spans.anomalies()) {
-    anomalies.push_back(anomaly_to_value(anomaly));
+    w.begin_object().key("chain").begin_array();
+    for (const CauseLink& link : anomaly.chain) {
+      w.begin_object().key("at").integer(link.at);
+      w.key("detail").string(detail(link));
+      w.key("span").integer(link.span);
+      w.key("what").string(to_string(link.what)).end_object();
+    }
+    w.end_array().key("deadline").integer(anomaly.deadline);
+    w.key("detected_at").integer(anomaly.detected_at);
+    w.key("partition").integer(anomaly.partition);
+    w.key("process").integer(anomaly.process).end_object();
   }
-
-  Object root;
-  root["meta"] = Value{std::move(meta)};
-  root["spans"] = Value{std::move(rows)};
-  root["anomalies"] = Value{std::move(anomalies)};
-  return Value{std::move(root)}.dump(indent);
+  w.end_array().key("meta").begin_object();
+  w.key("dropped").integer(spans.dropped_spans());
+  w.key("open").integer(spans.open_count());
+  w.key("origin").integer(spans.origin());
+  w.key("recorded").integer(spans.recorded_spans()).end_object();
+  w.key("spans").begin_array();
+  for (const Span& span : all) {
+    w.begin_object().key("a").integer(span.a).key("b").integer(span.b);
+    w.key("c").integer(span.c).key("end").integer(span.end);
+    w.key("id").integer(span.id).key("kind").string(to_string(span.kind));
+    if (!span.label.empty()) w.key("label").string(span.label.view());
+    w.key("parent").integer(span.parent).key("start").integer(span.start);
+    w.key("status").string(to_string(span.status));
+    w.key("trace_id").integer(span.trace_id).end_object();
+  }
+  w.end_array().end_object();
+  return out;
 }
 
 }  // namespace air::telemetry

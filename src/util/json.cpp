@@ -468,12 +468,6 @@ bool Reader::fail(std::string_view message) {
 
 namespace {
 
-void newline_indent(std::string& out, int indent, int depth) {
-  if (indent < 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent) * depth, ' ');
-}
-
 /// The DOM client of the Reader: one Value per JSON value.
 bool read_value(Reader& reader, Value& out) {
   switch (reader.peek()) {
@@ -532,71 +526,110 @@ bool read_value(Reader& reader, Value& out) {
 
 }  // namespace
 
-void Value::dump_to(std::string& out, int indent, int depth) const {
-  if (is_null()) {
-    out += "null";
-  } else if (is_bool()) {
-    out += as_bool() ? "true" : "false";
-  } else if (is_int()) {
-    out += std::to_string(std::get<std::int64_t>(data_));
-  } else if (is_double()) {
-    const double d = std::get<double>(data_);
-    if (!std::isfinite(d)) {
-      // JSON has no NaN/Infinity literals; "%g" would emit them and produce
-      // an unparseable document. null is the conventional lossy stand-in.
-      out += "null";
-      return;
-    }
-    if (d == 0 && std::signbit(d)) {
-      // "%.17g" prints "-0", which reads back as the integer 0.
-      out += "-0.0";
-      return;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", d);
-    out += buf;
-  } else if (is_string()) {
-    append_string(out, as_string());
-  } else if (is_array()) {
-    const auto& arr = as_array();
-    if (arr.empty()) {
-      out += "[]";
-      return;
-    }
-    out += '[';
-    bool first = true;
-    for (const auto& v : arr) {
-      if (!first) out += ',';
-      first = false;
-      newline_indent(out, indent, depth + 1);
-      v.dump_to(out, indent, depth + 1);
-    }
-    newline_indent(out, indent, depth);
-    out += ']';
-  } else {
-    const auto& obj = as_object();
-    if (obj.empty()) {
-      out += "{}";
-      return;
-    }
-    out += '{';
-    bool first = true;
-    for (const auto& [key, v] : obj) {
-      if (!first) out += ',';
-      first = false;
-      newline_indent(out, indent, depth + 1);
-      append_string(out, key);
-      out += indent < 0 ? ":" : ": ";
-      v.dump_to(out, indent, depth + 1);
-    }
-    newline_indent(out, indent, depth);
-    out += '}';
+// ---------- Writer ----------
+
+void Writer::newline() {
+  if (indent_ < 0) return;
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_) * depth_, ' ');
+}
+
+void Writer::separate() {
+  if (after_key_) {
+    after_key_ = false;
+  } else if (depth_ > 0) {
+    if (!first_) out_ += ',';
+    first_ = false;
+    newline();
   }
 }
 
+Writer& Writer::open(char bracket) {
+  separate();
+  out_ += bracket;
+  ++depth_;
+  first_ = true;
+  return *this;
+}
+
+Writer& Writer::close(char bracket) {
+  --depth_;
+  if (!first_) newline();
+  out_ += bracket;
+  first_ = false;  // the enclosing container now has this member
+  return *this;
+}
+
+Writer& Writer::key(std::string_view name) {
+  separate();
+  append_string(out_, name);
+  out_ += indent_ < 0 ? ":" : ": ";
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::string(std::string_view text) {
+  separate();
+  append_string(out_, text);
+  return *this;
+}
+
+Writer& Writer::real(double d) {
+  separate();
+  if (!std::isfinite(d)) {
+    out_ += "null";
+  } else if (d == 0 && std::signbit(d)) {
+    out_ += "-0.0";  // "%.17g" prints "-0", which reads back as the integer 0
+  } else {
+    char buf[32];
+    out_.append(buf, static_cast<std::size_t>(
+                         std::snprintf(buf, sizeof buf, "%.17g", d)));
+  }
+  return *this;
+}
+
+Writer& Writer::boolean(bool b) {
+  separate();
+  out_ += b ? "true" : "false";
+  return *this;
+}
+
+Writer& Writer::null() {
+  separate();
+  out_ += "null";
+  return *this;
+}
+
+namespace {
+
+void write(Writer& w, const Value& v) {
+  if (v.is_null()) {
+    w.null();
+  } else if (v.is_bool()) {
+    w.boolean(v.as_bool());
+  } else if (v.is_int()) {
+    w.integer(v.as_int());
+  } else if (v.is_double()) {
+    w.real(v.as_double());
+  } else if (v.is_string()) {
+    w.string(v.as_string());
+  } else if (v.is_array()) {
+    w.begin_array();
+    for (const Value& element : v.as_array()) write(w, element);
+    w.end_array();
+  } else {
+    w.begin_object();
+    for (const auto& [key, member] : v.as_object()) write(w.key(key), member);
+    w.end_object();
+  }
+}
+
+}  // namespace
+
 std::string Value::dump(int indent) const {
   std::string out;
-  dump_to(out, indent, 0);
+  Writer w(out, indent);
+  write(w, *this);
   return out;
 }
 

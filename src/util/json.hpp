@@ -2,8 +2,10 @@
 //
 // ARINC 653 systems are configured by integration-time files (the standard
 // uses XML; we use JSON for the same role -- see src/config). Implemented
-// from scratch around one lexer, the pull tokenizer `Reader`, which has two
-// clients:
+// from scratch around two streams: every document is written by the
+// `Writer`, which appends straight to a string (the exporters, and
+// Value::dump for the trees the readers build), and read by one lexer, the
+// pull tokenizer `Reader`, which has two clients:
 //   * parse() builds a Value tree on it -- the integration files, the
 //     telemetry exports and the tools read documents this way;
 //   * config::parse_candidate decodes candidate NDJSON lines straight from
@@ -14,6 +16,8 @@
 // the same messages at the same line and column.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -41,10 +45,8 @@ class Value {
   Value(std::nullptr_t) : data_(nullptr) {}
   Value(bool b) : data_(b) {}
   Value(std::int64_t n) : data_(n) {}
-  Value(int n) : data_(static_cast<std::int64_t>(n)) {}
   Value(double d) : data_(d) {}
   Value(std::string s) : data_(std::move(s)) {}
-  Value(const char* s) : data_(std::string{s}) {}
   Value(Array a) : data_(std::move(a)) {}
   Value(Object o) : data_(std::move(o)) {}
 
@@ -65,8 +67,6 @@ class Value {
   [[nodiscard]] const std::string& as_string() const { return std::get<std::string>(data_); }
   [[nodiscard]] const Array& as_array() const { return std::get<Array>(data_); }
   [[nodiscard]] const Object& as_object() const { return std::get<Object>(data_); }
-  [[nodiscard]] Array& as_array() { return std::get<Array>(data_); }
-  [[nodiscard]] Object& as_object() { return std::get<Object>(data_); }
 
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const Value* find(std::string_view key) const;
@@ -78,12 +78,10 @@ class Value {
                                        std::string_view fallback) const;
   [[nodiscard]] bool get_bool(std::string_view key, bool fallback) const;
 
-  /// Serialise; `indent` < 0 produces compact output.
+  /// Serialise with a Writer of this `indent` (< 0: compact).
   [[nodiscard]] std::string dump(int indent = -1) const;
 
  private:
-  void dump_to(std::string& out, int indent, int depth) const;
-
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array,
                Object>
       data_;
@@ -192,10 +190,64 @@ class Reader {
   std::optional<ParseError> error_;
 };
 
-/// Append `text` to `out` as a quoted JSON string literal, escaped exactly
-/// as Value::dump escapes strings; lets hand-built lines skip the Value
-/// temporary.
+/// Append `text` to `out` as a quoted JSON string literal: `"`, `\` and
+/// control characters are escaped, other bytes (UTF-8 included) pass
+/// through. The Writer's escaper; lets a hand-built line skip the Writer.
 void append_string(std::string& out, std::string_view text);
+
+/// Streaming writer, the dual of Reader: appends JSON to one string with
+/// no tree in between. The caller writes values in document order:
+///   w.begin_object().key("a").integer(1).key("b").begin_array()
+///    .string("x").end_array().end_object();
+/// Values written at the top level follow each other with no separator,
+/// so NDJSON is one document per line with the caller's '\n' between.
+///
+/// `indent` is Value::dump's: -1 is compact; 0 and above start each member
+/// on a new line indented by `indent` spaces per level and write ": "
+/// after keys. "[]" and "{}" stay on one line when empty. Members come out
+/// in call order; a writer that reproduces a std::map's bytes writes its
+/// keys sorted.
+class Writer {
+ public:
+  explicit Writer(std::string& out, int indent = -1)
+      : out_(out), indent_(indent) {}
+
+  Writer& begin_object() { return open('{'); }
+  Writer& end_object() { return close('}'); }
+  Writer& begin_array() { return open('['); }
+  Writer& end_array() { return close(']'); }
+  /// Names the next value, which must follow.
+  Writer& key(std::string_view name);
+  Writer& string(std::string_view text);
+  /// Any integer type but bool, in its own signedness.
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  Writer& integer(T n) {
+    separate();
+    char buf[24];
+    const char* end = std::to_chars(buf, buf + sizeof buf, n).ptr;
+    out_.append(buf, static_cast<std::size_t>(end - buf));
+    return *this;
+  }
+  /// "%.17g"; negative zero is "-0.0" (so it reads back as a double), and
+  /// NaN and +-inf, which JSON cannot spell, are null.
+  Writer& real(double d);
+  Writer& boolean(bool b);
+  Writer& null();
+
+ private:
+  Writer& open(char bracket);
+  Writer& close(char bracket);
+  /// Comma and line break before a value, unless a key just placed it.
+  void separate();
+  void newline();
+
+  std::string& out_;
+  int indent_;
+  int depth_{0};          // open arrays and objects
+  bool first_{false};     // the innermost one has no member yet
+  bool after_key_{false};
+};
 
 /// Parse a complete JSON document. Trailing garbage is an error.
 [[nodiscard]] ParseResult parse(std::string_view text);

@@ -141,7 +141,7 @@ std::vector<std::string> fly_faulted_bus() {
 
   for (int i = 0; i < 6; ++i) {
     const std::string payload =
-        "m" + std::to_string(i) + "|" +
+        'm' + std::to_string(i) + "|" +
         bytes_of(i % 2 == 0 ? 16 : ipc::Payload::kInlineBytes + 40,
                  static_cast<char>('A' + i));
     bus.send(ModuleId{0}, {ModuleId{1}, PartitionId{0}, "IN"},

@@ -190,7 +190,7 @@ class DispatcherTest : public ::testing::Test {
     for (int i = 0; i < 2; ++i) {
       PartitionControlBlock pcb;
       pcb.id = PartitionId{i};
-      pcb.name = "P" + std::to_string(i);
+      pcb.name = 'P' + std::to_string(i);
       pcb.last_tick = -1;
       pcbs_.push_back(std::move(pcb));
     }

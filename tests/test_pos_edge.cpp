@@ -33,7 +33,7 @@ TEST(PosEdge, ManyProcessesSchedulingStaysCorrect) {
   std::vector<ProcessId> pids;
   for (int i = 0; i < 200; ++i) {
     pos::ProcessAttributes attrs;
-    attrs.name = "p" + std::to_string(i);
+    attrs.name = 'p' + std::to_string(i);
     attrs.priority = static_cast<Priority>(200 - i);  // later = higher prio
     const ProcessId pid = kernel.create_process(std::move(attrs));
     kernel.pcb(pid)->current_priority = attrs.priority;

@@ -30,7 +30,7 @@ TEST(TraceExport, ChromeTraceOfFig8ParsesAndCoversPartitions) {
   for (const auto& event : events) {
     const std::string name = event.get_string("name", "");
     for (int p = 0; p < 4; ++p) {
-      if (name == "P" + std::to_string(p + 1) + " window") {
+      if (name == 'P' + std::to_string(p + 1) + " window") {
         windows[p] = true;
         EXPECT_TRUE(event.find("dur")->is_number());
       }

@@ -304,5 +304,79 @@ TEST(Json, LoneLowSurrogateIsAParseError) {
   }
 }
 
+// ---------- json::Writer ----------
+
+TEST(JsonWriter, EscapesQuotesBackslashesAndControlCharacters) {
+  std::string out;
+  util::json::Writer(out).string("q\"b\\n\nt\tr\rc\x01\x1f");
+  EXPECT_EQ(out, R"("q\"b\\n\nt\tr\rc\u0001\u001f")");
+}
+
+TEST(JsonWriter, PassesUtf8Through) {
+  std::string out;
+  util::json::Writer(out).string("\xc3\xa9\xe2\x9c\x93\xf0\x9f\x98\x80");
+  EXPECT_EQ(out, "\"\xc3\xa9\xe2\x9c\x93\xf0\x9f\x98\x80\"");
+}
+
+TEST(JsonWriter, WritesDoublesLikeDumpAndNonFiniteAsNull) {
+  std::string out;
+  util::json::Writer w(out);
+  w.begin_array().real(-0.0).real(0.0).real(0.1).real(1e300).real(-2.5);
+  w.real(std::numeric_limits<double>::quiet_NaN());
+  w.real(std::numeric_limits<double>::infinity());
+  w.real(-std::numeric_limits<double>::infinity()).end_array();
+  EXPECT_EQ(out,
+            "[-0.0,0,0.10000000000000001,1.0000000000000001e+300,-2.5,"
+            "null,null,null]");
+  // -0.0 reads back as a double, not as the integer 0.
+  const auto parsed = util::json::parse(out);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_TRUE(parsed.value->as_array()[0].is_double());
+}
+
+TEST(JsonWriter, WritesIntegerExtremesInTheirOwnSignedness) {
+  std::string out;
+  util::json::Writer w(out);
+  w.begin_array().integer(std::numeric_limits<std::int64_t>::min());
+  w.integer(std::numeric_limits<std::int64_t>::max());
+  w.integer(std::numeric_limits<std::uint64_t>::max()).integer(-1);
+  w.boolean(true).boolean(false).null().end_array();
+  EXPECT_EQ(out,
+            "[-9223372036854775808,9223372036854775807,"
+            "18446744073709551615,-1,true,false,null]");
+}
+
+TEST(JsonWriter, IndentMeansWhatDumpMeans) {
+  const auto write = [](int indent) {
+    std::string out;
+    util::json::Writer w(out, indent);
+    w.begin_object().key("a").begin_array().end_array();
+    w.key("b").begin_object().end_object();
+    w.key("c").begin_array().integer(1).begin_object().key("d").null();
+    w.end_object().begin_array().end_array().end_array().end_object();
+    return out;
+  };
+  EXPECT_EQ(write(-1), R"({"a":[],"b":{},"c":[1,{"d":null},[]]})");
+  EXPECT_EQ(write(0),
+            "{\n\"a\": [],\n\"b\": {},\n\"c\": [\n1,\n{\n\"d\": null\n},\n"
+            "[]\n]\n}");
+  EXPECT_EQ(write(2),
+            "{\n  \"a\": [],\n  \"b\": {},\n  \"c\": [\n    1,\n    {\n"
+            "      \"d\": null\n    },\n    []\n  ]\n}");
+  // The same document through a Value tree dumps to the same bytes.
+  const auto tree = util::json::parse(write(-1));
+  ASSERT_TRUE(tree.ok());
+  for (const int indent : {-1, 0, 2}) {
+    EXPECT_EQ(tree.value->dump(indent), write(indent)) << indent;
+  }
+}
+
+TEST(JsonWriter, TopLevelValuesFollowEachOtherUnseparated) {
+  std::string out;
+  util::json::Writer w(out, 2);
+  w.begin_object().end_object().integer(7).string("x");
+  EXPECT_EQ(out, "{}7\"x\"");
+}
+
 }  // namespace
 }  // namespace air

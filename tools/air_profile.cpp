@@ -28,9 +28,8 @@
 #include <vector>
 
 #include "util/json.hpp"
+#include "util/trace_export.hpp"
 
-using air::util::json::Array;
-using air::util::json::Object;
 using air::util::json::Value;
 
 namespace {
@@ -196,7 +195,7 @@ void print_top(const Profile& profile) {
 /// sequentially inside their parent; widths are total microseconds. This
 /// is a cost treemap in trace clothing, not a timeline.
 std::string to_chrome(const std::vector<Profile>& profiles) {
-  Array events;
+  air::util::ChromeTrace chrome;
   std::int64_t pid = 0;
   for (const Profile& profile : profiles) {
     // cursor[d] = next free timestamp at depth d (inside the current
@@ -209,37 +208,23 @@ std::string to_chrome(const std::vector<Profile>& profiles) {
       if (cursor.size() <= depth + 1) cursor.resize(depth + 2, 0.0);
       const double ts = cursor[depth];
       const double dur = static_cast<double>(row.total_ns) / 1e3;  // us
-      Object event;
-      event["name"] = Value{row.point};
-      event["cat"] = Value{profile.origin};
-      event["ph"] = Value{"X"};
-      event["ts"] = Value{ts};
-      event["dur"] = Value{dur};
-      event["pid"] = Value{pid};
-      event["tid"] = Value{std::int64_t{0}};
-      Object args;
-      args["path"] = Value{row.path};
-      args["calls"] = Value{row.calls};
-      args["max_ns"] = Value{row.max_ns};
-      event["args"] = Value{std::move(args)};
-      events.push_back(Value{std::move(event)});
+      chrome.event({.name = row.point, .ph = "X", .ts = ts, .dur = dur,
+                    .pid = pid, .tid = 0, .cat = profile.origin},
+                   [&row](air::util::json::Writer& w) {
+                     w.key("calls").integer(row.calls);
+                     w.key("max_ns").integer(row.max_ns);
+                     w.key("path").string(row.path);
+                   });
       cursor[depth] = ts + dur;
       cursor[depth + 1] = ts;
     }
-    Object name;
-    name["name"] = Value{"process_name"};
-    name["ph"] = Value{"M"};
-    name["pid"] = Value{pid};
-    Object name_args;
-    name_args["name"] = Value{profile.origin};
-    name["args"] = Value{std::move(name_args)};
-    events.push_back(Value{std::move(name)});
+    chrome.event({.name = "process_name", .ph = "M", .pid = pid},
+                 [&profile](air::util::json::Writer& w) {
+                   w.key("name").string(profile.origin);
+                 });
     ++pid;
   }
-  Object root;
-  root["traceEvents"] = Value{std::move(events)};
-  root["displayTimeUnit"] = Value{"ms"};
-  return Value{std::move(root)}.dump(2);
+  return chrome.finish();
 }
 
 }  // namespace

@@ -261,7 +261,13 @@ int main(int argc, char** argv) {
       .set_module_schedule(ScheduleId{1});
   world.run(5 * scenarios::kFig8Mtf);
 
-  util::json::Array modules;
+  // The manifest, members in name order as every export writes them.
+  std::string meta;
+  util::json::Writer w(meta, 2);
+  w.begin_object().key("bus_spans").string("bus_spans.json");
+  if (health) w.key("health").string("health.ndjson");
+  w.key("mission").string(clean ? "fig8+ground (clean)" : "fig8+ground");
+  w.key("modules").begin_array();
   for (std::size_t i = 0; i < world.module_count(); ++i) {
     system::Module& module = world.module(i);
     const std::string& name = module.config().name;
@@ -274,20 +280,21 @@ int main(int argc, char** argv) {
                     telemetry::spans_to_json(module.spans()))) {
       return 1;
     }
-    util::json::Object entry;
-    entry["name"] = util::json::Value{name};
-    entry["trace"] = util::json::Value{name + "_trace.json"};
-    entry["metrics"] = util::json::Value{name + "_metrics.json"};
-    entry["spans"] = util::json::Value{name + "_spans.json"};
+    w.begin_object().key("metrics").string(name + "_metrics.json");
+    w.key("name").string(name);
     if (profile) {
       if (!write_file(dir / (name + "_profile.json"),
                       telemetry::profile_to_json(module.profiler(), name))) {
         return 1;
       }
-      entry["profile"] = util::json::Value{name + "_profile.json"};
+      w.key("profile").string(name + "_profile.json");
     }
-    modules.push_back(util::json::Value{std::move(entry)});
+    w.key("spans").string(name + "_spans.json");
+    w.key("trace").string(name + "_trace.json").end_object();
   }
+  w.end_array();
+  if (profile) w.key("world_profile").string("world_profile.json");
+  w.end_object();
   if (profile &&
       !write_file(dir / "world_profile.json",
                   telemetry::profile_to_json(world.profiler(), "world"))) {
@@ -297,16 +304,7 @@ int main(int argc, char** argv) {
                   telemetry::spans_to_json(world.bus_spans()))) {
     return 1;
   }
-  util::json::Object meta;
-  meta["mission"] = util::json::Value{clean ? "fig8+ground (clean)"
-                                            : "fig8+ground"};
-  meta["modules"] = util::json::Value{std::move(modules)};
-  meta["bus_spans"] = util::json::Value{"bus_spans.json"};
-  if (health) meta["health"] = util::json::Value{"health.ndjson"};
-  if (profile) meta["world_profile"] = util::json::Value{"world_profile.json"};
-  if (!write_file(dir / "meta.json", util::json::Value{std::move(meta)}.dump(2))) {
-    return 1;
-  }
+  if (!write_file(dir / "meta.json", meta)) return 1;
 
   std::printf("%s%s\n%s\nrecorded %zu+%zu spans (+%zu bus) to %s\n",
               world.status_report().c_str(),
