@@ -19,8 +19,15 @@
 // modules_per_second floor. Host rate ratios are not gated: the sparse
 // driver runs only the modules with an event, so a 1-tick flat epoch no
 // longer costs an O(N) module sweep, and the flat flight -- which delivers
-// a third as many beacons -- takes less host time than the switched one.
+// a third as many beacons -- takes about as much host time as the
+// switched one.
+//
+// BM_ConstellationBuild times the part the flights leave out: building a
+// 128-satellite switched World (modules, bus attachments, virtual links)
+// and tearing it down again, reported per module.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "system/world.hpp"
 
@@ -36,8 +43,9 @@ constexpr std::size_t kPerSwitch = 8;  // stations per switch (switched)
 // beacon process (write + read the sampling ring, then sleep ~400 ticks).
 // No filler compute: the per-module work is a handful of script events per
 // beacon period, so the bench measures the data-plane machinery.
-// memory_bytes is trimmed (the 16 MiB default would be 16 GiB of host RSS
-// at 1000 modules); telemetry captures are bounded.
+// memory_bytes is trimmed (simulated RAM is demand-zero, so it costs host
+// memory only where touched, but 16 MiB per module would still reserve
+// 16 GiB of address space at 1000 modules); telemetry captures are bounded.
 system::ModuleConfig satellite(int id, int nmodules) {
   system::ModuleConfig config;
   config.id = ModuleId{id};
@@ -166,6 +174,37 @@ void BM_Constellation_Flat(benchmark::State& state) {
 BENCHMARK(BM_Constellation_Flat)
     ->Arg(64)->Arg(1000)
     ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// Construction and teardown of the switched constellation, each timed on
+// its own in wall time. The iteration time is their sum; the counters split
+// it per module.
+void BM_ConstellationBuild(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const int nmodules = static_cast<int>(state.range(0));
+  double build_s = 0;
+  double teardown_s = 0;
+  for (auto _ : state) {
+    const auto t0 = Clock::now();
+    auto world = build_constellation(nmodules, kPerSwitch);
+    const auto t1 = Clock::now();
+    benchmark::DoNotOptimize(world.get());
+    world.reset();
+    const auto t2 = Clock::now();
+    build_s += std::chrono::duration<double>(t1 - t0).count();
+    teardown_s += std::chrono::duration<double>(t2 - t1).count();
+    state.SetIterationTime(std::chrono::duration<double>(t2 - t0).count());
+  }
+  const double per_module_us = 1e6 / static_cast<double>(nmodules);
+  state.counters["build_us_per_module"] = benchmark::Counter(
+      build_s * per_module_us, benchmark::Counter::kAvgIterations);
+  state.counters["teardown_us_per_module"] = benchmark::Counter(
+      teardown_s * per_module_us, benchmark::Counter::kAvgIterations);
+  state.counters["modules"] = benchmark::Counter(nmodules);
+}
+BENCHMARK(BM_ConstellationBuild)
+    ->Arg(128)
+    ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -17,8 +17,8 @@ Both ratios are deterministic counters of the simulated flight, the same
 on every host. Host rate ratios are deliberately not gated: the sparse
 epoch driver runs only the modules with an event in each epoch, so a
 one-tick flat epoch no longer pays a full module sweep, and the flat
-flight, which delivers a third as many beacons, takes less host time than
-the switched one (bench_constellation.cpp, DESIGN.md §13).
+flight, which delivers a third as many beacons, takes about as much host
+time as the switched one (bench_constellation.cpp, DESIGN.md §13).
 
 Usage: check_constellation.py BENCH_constellation.json
                               [min_ratio] [min_floor] [modules]

@@ -300,8 +300,15 @@ LoadResult load_module_config(std::string_view json_text) {
     system::ModuleConfig config;
     config.name = root.get_string("name", "module");
     config.id = ModuleId{static_cast<std::int32_t>(root.get_int("id", 0))};
-    config.memory_bytes =
-        static_cast<std::size_t>(root.get_int("memory_bytes", 16 << 20));
+    // PhysAddr is 32 bits, and one page is the least memory a frame
+    // allocator can hand out.
+    const std::int64_t memory_bytes = root.get_int("memory_bytes", 16 << 20);
+    if (memory_bytes < static_cast<std::int64_t>(hal::Mmu::kPageSize) ||
+        memory_bytes >= (std::int64_t{1} << 32)) {
+      fail("\"memory_bytes\" must be in [4096, 2^32), got " +
+           std::to_string(memory_bytes));
+    }
+    config.memory_bytes = static_cast<std::size_t>(memory_bytes);
     config.validate = root.get_bool("validate", true);
     config.trace_enabled = root.get_bool("trace_enabled", true);
 
@@ -326,8 +333,15 @@ LoadResult load_module_config(std::string_view json_text) {
     if (partitions == nullptr || !partitions->is_array()) {
       fail("\"partitions\" array is required");
     }
+    std::size_t layout_bytes = pmk::kPmkRegionBytes;
     for (const Value& p : partitions->as_array()) {
       config.partitions.push_back(parse_partition(p));
+      layout_bytes += pmk::partition_footprint(config.partitions.back().memory);
+    }
+    if (config.memory_bytes < layout_bytes) {
+      fail("\"memory_bytes\" " + std::to_string(config.memory_bytes) +
+           " cannot hold the PMK region and the partitions' sections (" +
+           std::to_string(layout_bytes) + " bytes)");
     }
 
     const Value* schedules = root.find("schedules");

@@ -23,7 +23,8 @@
 //     "module_hm_table": [ <hm entry>... ]
 //   }
 // An <op> is { "op": "compute", "ticks": 30 } etc. -- see loader.cpp for
-// the full op table.
+// the full op table. "memory_bytes" must lie in [4096, 2^32) (PhysAddr is
+// 32 bits) and hold the 64 KiB PMK region plus every partition's sections.
 #pragma once
 
 #include <optional>

@@ -3,8 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <vector>
 
 namespace air::hal {
 
@@ -14,11 +14,17 @@ using VirtAddr = std::uint32_t;
 /// Byte-addressable physical memory of fixed size. All accesses are bounds
 /// checked; out-of-range access is a bug in the caller (the MMU must have
 /// produced a valid frame), hence asserts rather than recoverable errors.
+///
+/// The backing store is one anonymous private mapping: the host kernel's
+/// demand-zero pages are the RAM's reset state, so memory reads 0 until
+/// written and a module's resident footprint is the pages its partitions
+/// touch, not the size it configures (DESIGN.md §2).
 class PhysicalMemory {
  public:
-  explicit PhysicalMemory(std::size_t bytes) : bytes_(bytes) {}
+  /// Throws std::bad_alloc when the host refuses the mapping.
+  explicit PhysicalMemory(std::size_t bytes);
 
-  [[nodiscard]] std::size_t size() const { return bytes_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   void write(PhysAddr addr, std::span<const std::byte> data);
   void read(PhysAddr addr, std::span<std::byte> out) const;
@@ -30,7 +36,13 @@ class PhysicalMemory {
   void write_u32(PhysAddr addr, std::uint32_t value);
 
  private:
-  std::vector<std::byte> bytes_;
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(std::byte* base) const noexcept;
+  };
+
+  std::size_t size_;
+  std::unique_ptr<std::byte[], Unmap> bytes_;
 };
 
 /// Simple bump allocator over physical memory, used at integration time to

@@ -50,8 +50,19 @@ LevelRights pmk_rights() {
 
 }  // namespace
 
+std::size_t partition_footprint(const PartitionMemoryConfig& config) {
+  constexpr std::size_t kPage = hal::Mmu::kPageSize;
+  const auto page = [](std::size_t bytes) {
+    return (bytes + kPage - 1) / kPage * kPage;
+  };
+  return page(config.app_code_bytes) + page(config.app_data_bytes) +
+         page(config.app_stack_bytes) + page(config.pos_code_bytes) +
+         page(config.pos_data_bytes);
+}
+
 SpatialManager::SpatialManager(hal::Machine& machine) : machine_(machine) {
-  pmk_phys_ = machine_.allocator().allocate(pmk_bytes_, hal::Mmu::kPageSize);
+  pmk_phys_ =
+      machine_.allocator().allocate(kPmkRegionBytes, hal::Mmu::kPageSize);
 }
 
 const PartitionSpace& SpatialManager::setup_partition(
@@ -83,7 +94,7 @@ const PartitionSpace& SpatialManager::setup_partition(
   mmu.map(space.context, kPosDataBase, space.pos_data, config.pos_data_bytes,
           pos_data_rights());
   // The PMK region: same physical frames in every context, PMK-only rights.
-  mmu.map(space.context, kPmkBase, pmk_phys_, pmk_bytes_, pmk_rights());
+  mmu.map(space.context, kPmkBase, pmk_phys_, kPmkRegionBytes, pmk_rights());
 
   auto [it, inserted] = spaces_.emplace(partition, space);
   AIR_ASSERT(inserted);

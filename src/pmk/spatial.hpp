@@ -37,6 +37,15 @@ struct PartitionMemoryConfig {
   std::size_t pos_data_bytes{16 << 10};
 };
 
+/// Size of the PMK's own region, carved first from every module's memory.
+inline constexpr std::size_t kPmkRegionBytes = 64 << 10;
+
+/// Physical bytes setup_partition carves for `config`: every section
+/// rounded up to a whole page. kPmkRegionBytes plus the sum over a module's
+/// partitions is the least memory the module boots with.
+[[nodiscard]] std::size_t partition_footprint(
+    const PartitionMemoryConfig& config);
+
 /// Runtime descriptor of a partition's address space.
 struct PartitionSpace {
   hal::MmuContextId context{-1};
@@ -65,7 +74,6 @@ class SpatialManager {
  private:
   hal::Machine& machine_;
   hal::PhysAddr pmk_phys_{0};
-  std::size_t pmk_bytes_{64 << 10};
   std::map<PartitionId, PartitionSpace> spaces_;
 };
 

@@ -291,8 +291,7 @@ ProcessId Kernel::schedule() {
       // The previous head moves to the tail on every scheduling decision,
       // giving a one-tick time slice.
       if (current_.valid() && queue.size() > 1 && queue.front() == current_) {
-        queue.pop_front();
-        queue.push_back(current_);
+        std::rotate(queue.begin(), queue.begin() + 1, queue.end());
         ProcessControlBlock* prev = pcb(current_);
         if (prev != nullptr && prev->state == ProcessState::kRunning) {
           set_state(*prev, ProcessState::kReady);

@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string_view>
 #include <vector>
@@ -171,11 +170,14 @@ class Kernel {
   std::vector<std::pair<Ticks, ProcessId>> due_scratch_;
   // One FIFO per queue level. Under kRt the running process stays at the
   // front of its queue: it entered the ready state before every process
-  // behind it, so eq. (14)'s age tie-break is the queue order itself.
-  std::array<std::deque<ProcessId>, kPriorityLevels> ready_;
+  // behind it, so eq. (14)'s age tie-break is the queue order itself. A
+  // level holds a handful of ids at most, so a vector serves as the FIFO;
+  // an empty one owns no heap block, and a partition pays only for the
+  // levels its processes use (DESIGN.md §11).
+  std::array<std::vector<ProcessId>, kPriorityLevels> ready_;
   // Occupancy bitmap over ready_: bit p set iff ready_[p] is non-empty.
   // pick_heir() runs per simulated tick; find-first-set over four words
-  // replaces a scan of 256 deque headers (DESIGN.md §11).
+  // replaces a scan of 256 queue headers (DESIGN.md §11).
   static constexpr std::size_t kWords = kPriorityLevels / 64;
   std::array<std::uint64_t, kWords> occupancy_{};
   ProcessId current_{ProcessId::invalid()};

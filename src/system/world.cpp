@@ -31,6 +31,17 @@ Module& World::add_module(ModuleConfig config) {
   // with the bus (or, by unique origin above, with any other module).
   AIR_ASSERT_MSG(module.spans().origin() != bus_spans_.origin(),
                  "module span recorder aliases the bus recorder");
+  // The bus recorder is bounded like its modules: while every module keeps
+  // a bounded span ring, it keeps the largest of their capacities; one
+  // unbounded module makes it unbounded too (DESIGN.md §13).
+  std::size_t bus_capacity = module.config().telemetry.spans_capacity;
+  if (modules_.size() > 1 && bus_capacity != 0) {
+    const std::size_t current = bus_spans_.capacity();
+    bus_capacity = current == 0 ? 0 : std::max(current, bus_capacity);
+  }
+  if (bus_capacity != bus_spans_.capacity()) {
+    bus_spans_.set_capacity(bus_capacity);
+  }
 
   // Remote sends are staged, never injected directly: an epoch runs each
   // due module through the whole span before the next one starts, so
@@ -366,6 +377,16 @@ std::string World::status_report() const {
                 static_cast<unsigned long long>(bus.frames_delivered),
                 static_cast<unsigned long long>(bus.frames_dropped),
                 static_cast<unsigned long long>(stats_.frames_merged));
+  out += line;
+  const std::size_t span_capacity = bus_spans_.capacity();
+  std::snprintf(line, sizeof line,
+                "  bus spans: recorded=%llu retained=%zu dropped=%llu "
+                "capacity=%s\n",
+                static_cast<unsigned long long>(bus_spans_.recorded_spans()),
+                bus_spans_.retained_spans(),
+                static_cast<unsigned long long>(bus_spans_.dropped_spans()),
+                span_capacity == 0 ? "unbounded"
+                                   : std::to_string(span_capacity).c_str());
   out += line;
   const telemetry::StringArena::Stats& arena = arena_.stats();
   std::snprintf(line, sizeof line,

@@ -84,7 +84,8 @@ class World {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// World section of the integrator status report: module count, epoch
-  /// totals, mean epoch length, module runs and settles.
+  /// totals, mean epoch length, module runs and settles, bus traffic and
+  /// the bus recorder's span retention.
   [[nodiscard]] std::string status_report() const;
 
   /// Enable the online bus plane: digest windows over the TDMA bus (per
@@ -115,7 +116,9 @@ class World {
 
   [[nodiscard]] Ticks now() const { return now_; }
   [[nodiscard]] net::Bus& bus() { return bus_; }
-  /// Span recorder for bus transit legs (kMsgBusTransit).
+  /// Span recorder for bus transit legs (kMsgBusTransit). add_module
+  /// bounds it like the modules: the largest module spans_capacity while
+  /// every module is bounded, unbounded once any module is.
   [[nodiscard]] telemetry::SpanRecorder& bus_spans() { return bus_spans_; }
   [[nodiscard]] const telemetry::SpanRecorder& bus_spans() const {
     return bus_spans_;

@@ -139,6 +139,7 @@ class SpanRecorder {
   /// anomalies (newest win); evictions are counted exactly in
   /// dropped_spans() and dropped_anomalies(). 0 = unbounded.
   void set_capacity(std::size_t capacity);
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   /// Mirror every span retirement into `trace` as a debug-severity kSpan
   /// event -- the flight recorder then shows span activity in context (and
@@ -229,6 +230,10 @@ class SpanRecorder {
   [[nodiscard]] std::uint64_t recorded_spans() const { return closed_total_; }
   /// Exact count of closed spans evicted in bounded mode.
   [[nodiscard]] std::uint64_t dropped_spans() const { return dropped_; }
+  /// Closed spans held now (the size of closed(), without materialising it).
+  [[nodiscard]] std::size_t retained_spans() const {
+    return ring_ != nullptr ? ring_->size() : closed_.size();
+  }
   [[nodiscard]] std::size_t open_count() const { return open_.size(); }
 
   void clear();

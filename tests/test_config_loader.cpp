@@ -227,5 +227,59 @@ TEST(ConfigLoader, InvalidScheduleIsCaughtAtModuleConstruction) {
       << "eq. (23) violation: cycle gets 4 < 8";
 }
 
+// kMinimal with its "memory_bytes" set to `value` (JSON number text).
+std::string minimal_with_memory(const std::string& value) {
+  std::string json = kMinimal;
+  json.insert(1, "\n  \"memory_bytes\": " + value + ",");
+  return json;
+}
+
+TEST(ConfigLoader, MemoryBelowOnePageIsALoadError) {
+  // -1 used to end in an uncaught std::length_error; 0 and 100 in the frame
+  // allocator's "physical memory exhausted" assert.
+  for (const char* value : {"-1", "0", "100", "4095"}) {
+    const auto result = config::load_module_config(minimal_with_memory(value));
+    ASSERT_FALSE(result.ok()) << value;
+    EXPECT_NE(result.error.find("\"memory_bytes\" must be in [4096, 2^32)"),
+              std::string::npos)
+        << result.error;
+  }
+}
+
+TEST(ConfigLoader, MemoryBeyondThe32BitPhysicalSpaceIsALoadError) {
+  // 2^32 + 4096 used to map 4 GiB and then wrap the 32-bit allocator end.
+  for (const char* value : {"4294967296", "4294971392"}) {
+    const auto result = config::load_module_config(minimal_with_memory(value));
+    ASSERT_FALSE(result.ok()) << value;
+    EXPECT_NE(result.error.find("\"memory_bytes\" must be in [4096, 2^32)"),
+              std::string::npos)
+        << result.error;
+  }
+}
+
+TEST(ConfigLoader, MemoryTooSmallForTheLayoutIsALoadError) {
+  // The PMK region plus one partition's five default sections, each a whole
+  // number of pages: 64 KiB + 72 KiB.
+  const std::size_t layout =
+      pmk::kPmkRegionBytes +
+      pmk::partition_footprint(pmk::PartitionMemoryConfig{});
+  ASSERT_EQ(layout, 139264u);
+  for (const std::size_t bytes : {std::size_t{4096}, layout - 1}) {
+    const auto result =
+        config::load_module_config(minimal_with_memory(std::to_string(bytes)));
+    ASSERT_FALSE(result.ok()) << bytes;
+    EXPECT_NE(result.error.find("cannot hold the PMK region"),
+              std::string::npos)
+        << result.error;
+  }
+  // Exactly the layout boots and runs.
+  const auto fits =
+      config::load_module_config(minimal_with_memory(std::to_string(layout)));
+  ASSERT_TRUE(fits.ok()) << fits.error;
+  system::Module module(*fits.config);
+  module.run(10);
+  EXPECT_EQ(module.console(module.partition_id("MAIN")).size(), 1u);
+}
+
 }  // namespace
 }  // namespace air

@@ -15,6 +15,24 @@ TEST(PhysicalMemory, ReadWriteRoundTrip) {
   EXPECT_EQ(mem.read_u8(0), 0x7f);
 }
 
+TEST(PhysicalMemory, FreshMemoryReadsZeroEverywhere) {
+  // Untouched RAM is the host's demand-zero pages: reset state without a
+  // build-time fill.
+  constexpr std::size_t kBytes = 16u << 20;
+  PhysicalMemory mem(kBytes);
+  ASSERT_EQ(mem.size(), kBytes);
+  const auto last = static_cast<PhysAddr>(kBytes - 1);
+  EXPECT_EQ(mem.read_u8(0), 0);
+  EXPECT_EQ(mem.read_u8(last), 0);
+  EXPECT_EQ(mem.read_u32(static_cast<PhysAddr>(kBytes - 4)), 0u);
+  for (PhysAddr addr = 4093; addr < kBytes; addr += 1'048'573) {
+    EXPECT_EQ(mem.read_u32(addr), 0u) << addr;
+  }
+  mem.write_u8(last, 0xa5);
+  EXPECT_EQ(mem.read_u8(last), 0xa5);
+  EXPECT_EQ(mem.read_u8(last - 1), 0);
+}
+
 TEST(FrameAllocator, AlignsAndAdvances) {
   FrameAllocator alloc(0, 1 << 20);
   const PhysAddr a = alloc.allocate(100, 4096);

@@ -484,6 +484,47 @@ TEST(ParallelWorld, StatusReportDescribesTheWorld) {
   EXPECT_GT(stats.module_runs, 0u);
 }
 
+TEST(ParallelWorld, BusRecorderIsBoundedLikeItsModules) {
+  Mission mission = random_mission(7);
+  mission.phase2 = 8000;
+  for (std::size_t m = 0; m < mission.modules.size(); ++m) {
+    mission.modules[m].telemetry.spans_capacity = m == 1 ? 256 : 128;
+  }
+  // Eviction happens on both drivers alike: the bus span JSON (part of the
+  // fingerprint) stays byte-identical.
+  EXPECT_EQ(fly(mission, Driver::kLockstep), fly(mission, Driver::kEpoch));
+
+  const Ticks span = mission.phase1 + mission.phase2;
+  system::World world(mission.bus);
+  for (const auto& config : mission.modules) world.add_module(config);
+  world.run(span);
+  const telemetry::SpanRecorder& bus = world.bus_spans();
+  EXPECT_EQ(bus.capacity(), 256u) << "the largest module capacity";
+  EXPECT_GT(bus.dropped_spans(), 0u) << "the flight must overflow the ring";
+  EXPECT_EQ(bus.closed().size(), 256u);
+  EXPECT_EQ(bus.retained_spans(), bus.closed().size());
+  EXPECT_EQ(bus.recorded_spans(), bus.closed().size() + bus.dropped_spans());
+  const std::string line =
+      "bus spans: recorded=" + std::to_string(bus.recorded_spans()) +
+      " retained=256 dropped=" + std::to_string(bus.dropped_spans()) +
+      " capacity=256\n";
+  EXPECT_NE(world.status_report().find(line), std::string::npos)
+      << world.status_report();
+
+  // One unbounded module makes the bus recorder unbounded again.
+  mission.modules.back().telemetry.spans_capacity = 0;
+  system::World mixed(mission.bus);
+  for (const auto& config : mission.modules) mixed.add_module(config);
+  mixed.run(span);
+  const telemetry::SpanRecorder& unbounded = mixed.bus_spans();
+  EXPECT_EQ(unbounded.capacity(), 0u);
+  EXPECT_EQ(unbounded.dropped_spans(), 0u);
+  EXPECT_EQ(unbounded.recorded_spans(), bus.recorded_spans());
+  EXPECT_EQ(unbounded.closed().size(), unbounded.recorded_spans());
+  EXPECT_NE(mixed.status_report().find("capacity=unbounded"),
+            std::string::npos);
+}
+
 TEST(ParallelWorld, EpochsFastForwardIdleWorlds) {
   // All-quiescent worlds must still advance in large strides (the epoch
   // horizon subsumes the lockstep warp): far fewer epochs than ticks.

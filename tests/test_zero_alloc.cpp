@@ -113,6 +113,32 @@ TEST(ZeroAlloc, SteadyStateFlightNeverTouchesTheHeap) {
 #endif
 }
 
+// Heap allocations made by the Module constructor for `config` (the copy
+// into the parameter happens before the count starts).
+std::uint64_t construction_allocations(system::ModuleConfig config) {
+  const std::uint64_t before = allocation_count();
+  const system::Module module(std::move(config));
+  return allocation_count() - before;
+}
+
+TEST(ZeroAlloc, AnEmptyPartitionCostsFewAllocations) {
+#ifdef AIR_ALLOC_COUNTING_DISABLED
+  GTEST_SKIP() << "allocation counting is owned by the sanitizer runtime";
+#else
+  // A partition's kernel keeps one ready queue per priority level; an
+  // empty level must own no heap block (256 levels of std::deque cost two
+  // blocks each, 512 in all).
+  auto config = scenarios::fig8_config({.with_faulty_process = false});
+  const std::uint64_t base = construction_allocations(config);
+  system::PartitionConfig spare;
+  spare.name = "SPARE";
+  config.partitions.push_back(std::move(spare));
+  const std::uint64_t with_spare = construction_allocations(config);
+  ASSERT_GT(with_spare, base);
+  EXPECT_LT(with_spare - base, 64u);
+#endif
+}
+
 TEST(ZeroAlloc, ArenaHitsDoNotAllocate) {
 #ifdef AIR_ALLOC_COUNTING_DISABLED
   GTEST_SKIP() << "allocation counting is owned by the sanitizer runtime";

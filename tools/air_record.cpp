@@ -306,14 +306,14 @@ int main(int argc, char** argv) {
   }
   if (!write_file(dir / "meta.json", meta)) return 1;
 
-  std::printf("%s%s\n%s\nrecorded %zu+%zu spans (+%zu bus) to %s\n",
-              world.status_report().c_str(),
-              prototype.status_report().c_str(),
-              ground.status_report().c_str(),
-              static_cast<std::size_t>(prototype.spans().recorded_spans()),
-              static_cast<std::size_t>(ground.spans().recorded_spans()),
-              static_cast<std::size_t>(world.bus_spans().recorded_spans()),
-              dir.c_str());
+  std::printf(
+      "%s%s\n%s\nrecorded %zu+%zu spans (+%zu bus, %zu bus dropped) to %s\n",
+      world.status_report().c_str(), prototype.status_report().c_str(),
+      ground.status_report().c_str(),
+      static_cast<std::size_t>(prototype.spans().recorded_spans()),
+      static_cast<std::size_t>(ground.spans().recorded_spans()),
+      static_cast<std::size_t>(world.bus_spans().recorded_spans()),
+      static_cast<std::size_t>(world.bus_spans().dropped_spans()), dir.c_str());
 
   std::size_t breaches = 0;
   if (health) {
