@@ -95,11 +95,11 @@ BENCHMARK(BM_ResponseTimeAnalysis)->Arg(2)->Arg(8)->Arg(32);
 
 // --- the schedulability service (src/model/batch.hpp) ---
 //
-// Baseline vs service over the same generated candidate stream, both on
-// one lane. The baseline is the pre-service workflow: every candidate
-// analysed in isolation (no PST memo, no supply cache). The service runs
-// the batch pipeline with the PST memo and the interned supply cache, so
-// the ratio measures memoisation alone, free of thread wake-ups.
+// Baseline vs service over the same generated candidate stream. The
+// baseline is the pre-service workflow: every candidate analysed in
+// isolation (no PST memo, no supply cache). The service runs the batch
+// pipeline with the PST memo and the interned supply cache, so the ratio
+// measures memoisation alone.
 // check_schedulability.py gates the configs_per_second ratio and the cache
 // hit rate.
 
@@ -113,10 +113,7 @@ model::CandidateSpec bench_spec(std::int64_t count) {
 void BM_BatchAnalyze_Baseline(benchmark::State& state) {
   const auto candidates = model::generate_candidates(bench_spec(state.range(0)));
   for (auto _ : state) {
-    model::BatchOptions options;
-    options.workers = 1;
-    options.memoise = false;
-    model::BatchAnalyzer analyzer(options);
+    model::BatchAnalyzer analyzer(model::BatchOptions{.memoise = false});
     benchmark::DoNotOptimize(analyzer.analyze(candidates));
   }
   state.counters["configs_per_second"] = benchmark::Counter(
@@ -130,9 +127,7 @@ void BM_BatchAnalyze_Service(benchmark::State& state) {
   const auto candidates = model::generate_candidates(bench_spec(state.range(0)));
   double hit_rate = 0.0;
   for (auto _ : state) {
-    model::BatchOptions options;
-    options.workers = 1;
-    model::BatchAnalyzer analyzer(options);
+    model::BatchAnalyzer analyzer;
     benchmark::DoNotOptimize(analyzer.analyze(candidates));
     const auto& cache = analyzer.stats().cache;
     hit_rate = cache.lookups > 0 ? static_cast<double>(cache.hits) /

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstring>
-#include <thread>
 
-#include "util/assert.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -117,15 +115,6 @@ namespace {
   return key;
 }
 
-[[nodiscard]] std::size_t pool_threads(std::size_t workers) {
-  if (workers == 1) return 0;  // inline on the caller
-  if (workers == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 1 ? hw - 1 : 0;
-  }
-  return workers - 1;  // the caller is a lane too (WorkerPool::run)
-}
-
 }  // namespace
 
 std::string_view to_string(Verdict verdict) {
@@ -165,33 +154,6 @@ std::string BatchVerdict::to_ndjson() const {
   line += '}';
   return line;
 }
-
-/// One distinct PST: every candidate with the same (mtf, requirements,
-/// windows) shares it. Written once by the lane building it; the supply
-/// indices are resolved later in the serial interning phase.
-struct BatchAnalyzer::Pst {
-  std::optional<Schedule> schedule;  // nullopt = infeasible
-  std::string binding;               // the infeasible binding
-  double utilisation{0.0};           // of the schedule, when feasible
-  /// Supply-cache index per schedule requirement; kUnresolved until some
-  /// candidate first analyses that partition.
-  std::vector<std::size_t> supply_index;
-};
-
-/// Per-candidate working state. Written only by the lane owning the
-/// candidate's index; read across phases after a pool barrier.
-struct BatchAnalyzer::Slot {
-  std::size_t pst{0};  // into psts_
-  /// Analysable partitions, each with the index of its requirement in the
-  /// PST (and so of its entry in Pst::supply_index).
-  std::vector<std::pair<const PartitionModel*, std::size_t>> parts;
-  BatchVerdict verdict;
-};
-
-BatchAnalyzer::BatchAnalyzer(BatchOptions options)
-    : options_(options), pool_(pool_threads(options.workers)) {}
-
-BatchAnalyzer::~BatchAnalyzer() = default;
 
 BatchAnalyzer::Pst BatchAnalyzer::build_pst(const Candidate& candidate) {
   Pst pst;
@@ -260,58 +222,85 @@ BatchAnalyzer::Pst BatchAnalyzer::build_pst(const Candidate& candidate) {
   }
 
   pst.utilisation = pst.schedule->utilisation();
-  pst.supply_index.assign(pst.schedule->requirements.size(), kUnresolved);
+  pst.supplies.assign(pst.schedule->requirements.size(), nullptr);
   return pst;
 }
 
-void BatchAnalyzer::bind(const Candidate& candidate, Slot& slot) const {
-  BatchVerdict& v = slot.verdict;
+const PartitionSupply& BatchAnalyzer::cached_supply(Pst& pst,
+                                                    std::size_t req) {
+  // Each PST computes the key of a partition once; later candidates on it
+  // reuse the resolved supply, which counts as a hit because the key is
+  // already cached.
+  ++stats_.cache.lookups;
+  const PartitionSupply*& supply = pst.supplies[req];
+  if (supply != nullptr) {
+    ++stats_.cache.hits;
+    return *supply;
+  }
+  const Schedule& schedule = *pst.schedule;
+  const PartitionId partition = schedule.requirements[req].partition;
+  const auto [it, inserted] = cache_.try_emplace(
+      supply_key(schedule, partition), schedule, partition);
+  if (inserted) {
+    ++stats_.cache.misses;
+    stats_.cache.entries = cache_.size();
+    stats_.cache.bytes += it->second.bytes();
+  } else {
+    ++stats_.cache.hits;
+  }
+  supply = &it->second;
+  return *supply;
+}
+
+BatchVerdict BatchAnalyzer::analyze_one(const Candidate& candidate) {
+  // Intern the PST key: the first candidate naming a new key builds its
+  // entry. Without memoisation every candidate builds a PST of its own.
+  Pst local;
+  Pst* pst = &local;
+  bool is_new = true;
+  if (options_.memoise) {
+    const auto [it, inserted] = psts_.try_emplace(pst_key(candidate));
+    pst = &it->second;
+    is_new = inserted;
+  }
+  if (is_new) {
+    *pst = build_pst(candidate);
+    ++stats_.psts_built;
+  }
+
+  BatchVerdict v;
   v.id = candidate.id;
   v.name = candidate.name;
-  const Pst& pst = psts_[slot.pst];
-  if (!pst.schedule.has_value()) {
+  if (!pst->schedule.has_value()) {
     v.verdict = Verdict::kInfeasible;
-    v.binding = pst.binding;
-    return;
+    v.binding = pst->binding;
+    return v;
   }
   if (const std::string_view field = field_out_of_bound(candidate);
       !field.empty()) {
     v.verdict = Verdict::kInfeasible;
     v.binding = process_bound_binding(field);
-    return;
+    return v;
   }
-  // Schedulable until phase 6's analysis says otherwise.
+
+  // Schedulable until some partition's analysis says otherwise.
+  const Schedule& schedule = *pst->schedule;
   v.verdict = Verdict::kSchedulable;
-  v.utilisation = pst.utilisation;
-  const std::vector<ScheduleRequirement>& reqs = pst.schedule->requirements;
-  slot.parts.reserve(candidate.partitions.size());
-  for (const PartitionModel& pm : candidate.partitions) {
-    if (const ScheduleRequirement* req = pst.schedule->requirement_for(pm.id)) {
-      slot.parts.emplace_back(&pm,
-                              static_cast<std::size_t>(req - reqs.data()));
-    }
-  }
-}
-
-void BatchAnalyzer::finish(Slot& slot) const {
-  const Pst& pst = psts_[slot.pst];
-  AIR_ASSERT(pst.schedule.has_value());
-  const Schedule& schedule = *pst.schedule;
-  BatchVerdict& v = slot.verdict;
   v.binding = "eq. (14): wcrt <= D for every process";
-  v.worst_wcrt = 0;
-  v.partitions.reserve(slot.parts.size());
-
-  for (const auto& [pm, req] : slot.parts) {
+  v.utilisation = pst->utilisation;
+  v.partitions.reserve(candidate.partitions.size());
+  for (const PartitionModel& pm : candidate.partitions) {
+    const ScheduleRequirement* req = schedule.requirement_for(pm.id);
+    if (req == nullptr) continue;
     PartitionAnalysis pa;
     if (options_.memoise) {
-      const PartitionSupply* supply =
-          supplies_[pst.supply_index[req]].get();
-      AIR_ASSERT(supply != nullptr);
-      pa = analyze_partition(schedule, *pm, *supply, options_.analysis);
+      const auto index =
+          static_cast<std::size_t>(req - schedule.requirements.data());
+      pa = analyze_partition(schedule, pm, cached_supply(*pst, index),
+                             options_.analysis);
     } else {
-      const PartitionSupply supply(schedule, pm->id);
-      pa = analyze_partition(schedule, *pm, supply, options_.analysis);
+      const PartitionSupply supply(schedule, pm.id);
+      pa = analyze_partition(schedule, pm, supply, options_.analysis);
     }
     if (!pa.schedulable && v.verdict == Verdict::kSchedulable) {
       v.verdict = Verdict::kUnschedulable;
@@ -330,104 +319,21 @@ void BatchAnalyzer::finish(Slot& slot) const {
     }
     v.partitions.push_back(std::move(pa));
   }
+  return v;
 }
 
 std::vector<BatchVerdict> BatchAnalyzer::analyze(
     const std::vector<Candidate>& candidates) {
-  const std::size_t n = candidates.size();
-  std::vector<Slot> slots(n);
-
-  // Phase 1 (serial): intern PST keys in candidate order; the first
-  // candidate naming a new key is the one its entry is built from. Without
-  // memoisation every candidate gets an entry of its own for this call.
-  const std::size_t first_new = psts_.size();
-  std::vector<std::size_t> builders;  // candidate index per new entry
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t index = psts_.size();
-    if (options_.memoise) {
-      index = psts_memo_.try_emplace(pst_key(candidates[i]), index)
-                  .first->second;
-    }
-    if (index == psts_.size()) {
-      psts_.emplace_back();
-      builders.push_back(i);
-    }
-    slots[i].pst = index;
-  }
-  stats_.psts_built += builders.size();
-
-  // Phase 2 (parallel): generate or validate each new PST, one per lane.
-  pool_.run(builders.size(), [&](std::size_t b) {
-    psts_[first_new + b] = build_pst(candidates[builders[b]]);
-  });
-
-  // Phase 3 (parallel): bind each candidate to its PST, or reject it when
-  // the PST is infeasible or a process is beyond kMaxProcessTicks.
-  pool_.run(n, [&](std::size_t i) { bind(candidates[i], slots[i]); });
-
-  // Phase 4 (serial): intern canonical window-set keys in candidate order.
-  // Serialising the *interning* is what makes hit/miss counts and supply
-  // identity independent of the worker count. Each PST computes the key of
-  // a partition once; later candidates on it reuse the resolved index,
-  // which is a hit because the key is already cached. The O(MTF) supply
-  // constructions stay parallel in phase 5.
-  struct Build {
-    std::size_t pst;
-    PartitionId partition;
-    std::size_t index;  // into supplies_
-  };
-  std::vector<Build> builds;
-  if (options_.memoise) {
-    for (const Slot& slot : slots) {
-      Pst& pst = psts_[slot.pst];
-      for (const auto& [pm, req] : slot.parts) {
-        ++stats_.cache.lookups;
-        std::size_t& index = pst.supply_index[req];
-        if (index != kUnresolved) {
-          ++stats_.cache.hits;
-          continue;
-        }
-        const auto [it, inserted] = cache_.try_emplace(
-            supply_key(*pst.schedule, pm->id), supplies_.size());
-        if (inserted) {
-          supplies_.emplace_back(nullptr);
-          builds.push_back({slot.pst, pm->id, it->second});
-          ++stats_.cache.misses;
-        } else {
-          ++stats_.cache.hits;
-        }
-        index = it->second;
-      }
-    }
-    stats_.cache.entries = supplies_.size();
-
-    // Phase 5 (parallel): build the missing supplies, one lane per supply.
-    pool_.run(builds.size(), [&](std::size_t b) {
-      const Build& build = builds[b];
-      supplies_[build.index] = std::make_unique<const PartitionSupply>(
-          *psts_[build.pst].schedule, build.partition);
-    });
-    for (const Build& build : builds) {
-      stats_.cache.bytes += supplies_[build.index]->bytes();
-    }
-  }
-
-  // Phase 6 (parallel): per-candidate response-time analyses.
-  pool_.run(n, [&](std::size_t i) {
-    if (slots[i].verdict.verdict == Verdict::kSchedulable) finish(slots[i]);
-  });
-  if (!options_.memoise) psts_.clear();
-
   std::vector<BatchVerdict> verdicts;
-  verdicts.reserve(n);
-  for (Slot& slot : slots) {
+  verdicts.reserve(candidates.size());
+  for (const Candidate& candidate : candidates) {
+    const BatchVerdict& v = verdicts.emplace_back(analyze_one(candidate));
     ++stats_.analyzed;
-    switch (slot.verdict.verdict) {
+    switch (v.verdict) {
       case Verdict::kSchedulable: ++stats_.schedulable; break;
       case Verdict::kUnschedulable: ++stats_.unschedulable; break;
       case Verdict::kInfeasible: ++stats_.infeasible; break;
     }
-    verdicts.push_back(std::move(slot.verdict));
   }
   return verdicts;
 }

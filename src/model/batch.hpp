@@ -8,7 +8,7 @@
 // schedulable / unschedulable / infeasible, each verdict citing the binding
 // equation.
 //
-// Three mechanisms carry the throughput (BENCH_schedulability.json):
+// Two memos carry the throughput (BENCH_schedulability.json):
 //
 //  - PST memo. Candidate streams share requirement sets heavily (an
 //    integrator explores process placements under few window designs), so
@@ -16,7 +16,7 @@
 //    windows), never the candidate name -- is generated or validated once
 //    per analyzer. A candidate points at its entry, which holds the
 //    Schedule or the infeasible binding, the utilisation and each
-//    partition's supply-cache index. Stats::psts_built counts the builds.
+//    partition's cached supply. Stats::psts_built counts the builds.
 //
 //  - Supply cache. The next repeated cost is PartitionSupply construction
 //    -- O(MTF) prefix, rank and gap-start arrays per (window set,
@@ -24,19 +24,12 @@
 //    canonicalised window set, with hit/miss Stats mirroring
 //    util::StringArena::Stats. Distinct PSTs can still share a supply.
 //
-//  - Fan-out. Per-candidate analyses are independent, so they run over a
-//    util::WorkerPool, whose caller is one of the lanes. Determinism
-//    contract: the verdict stream and the stats are byte-identical for any
-//    worker count. Results land in pre-assigned slots, and analyze() runs
-//    in phases separated by pool barriers:
-//      1. serial: intern PST keys in candidate order;
-//      2. parallel: build the new PSTs;
-//      3. parallel: bind each candidate to its PST;
-//      4. serial: intern supply keys in candidate order;
-//      5. parallel: build the new supplies;
-//      6. parallel: response-time analysis per candidate.
-//    Every memo and cache write happens in a serial phase or in an entry
-//    that only one lane owns, so no outcome depends on thread interleaving.
+// analyze() is one pass in candidate order. For each candidate it interns
+// the PST key (building the PST when the key is new), binds the verdict
+// header, resolves each partition's supply through the memo entry and the
+// cache (building it on a miss), and runs the eq. (14) response-time
+// analysis. The memo and the cache are written in candidate order, so the
+// verdict stream and every Stats field depend only on the candidates.
 //
 // With memoise off, both the memo and the supply cache are skipped: every
 // candidate builds its own PST and supplies, the independent reference the
@@ -48,7 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -58,7 +50,6 @@
 #include "model/schedulability.hpp"
 #include "model/validation.hpp"
 #include "telemetry/metrics.hpp"
-#include "util/worker_pool.hpp"
 
 namespace air::model {
 
@@ -105,9 +96,6 @@ struct BatchVerdict {
 };
 
 struct BatchOptions {
-  /// Worker lanes: 1 = inline on the caller, N = up to N concurrent lanes
-  /// (the caller plus N - 1 pool threads), 0 = one per hardware thread.
-  std::size_t workers{1};
   /// Build each distinct PST once and intern PartitionSupply objects by
   /// canonical window set. Off = the one-at-a-time baseline the bench
   /// compares against.
@@ -117,8 +105,7 @@ struct BatchOptions {
 
 class BatchAnalyzer {
  public:
-  explicit BatchAnalyzer(BatchOptions options = {});
-  ~BatchAnalyzer();
+  explicit BatchAnalyzer(BatchOptions options = {}) : options_(options) {}
 
   /// Analyse a batch; verdicts are index-aligned with `candidates`. May be
   /// called repeatedly (daemon mode): the PST memo, the supply cache and
@@ -144,33 +131,35 @@ class BatchAnalyzer {
     CacheStats cache;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const BatchOptions& options() const { return options_; }
 
   /// Publish the running totals into a metrics registry (the batch.*
   /// catalogue rows); air-schedule exports the result via telemetry JSON.
   void publish(telemetry::MetricsRegistry& registry) const;
 
  private:
-  struct Pst;   // one memoised PST and its supply indices (batch.cpp)
-  struct Slot;  // per-candidate working state (batch.cpp)
-  static constexpr std::size_t kUnresolved = static_cast<std::size_t>(-1);
+  /// One distinct PST, shared by every candidate with the same (mtf,
+  /// requirements, windows).
+  struct Pst {
+    std::optional<Schedule> schedule;  // nullopt = infeasible
+    std::string binding;               // the infeasible binding
+    double utilisation{0.0};           // of the schedule, when feasible
+    // Per schedule requirement: null until some candidate analyses it.
+    std::vector<const PartitionSupply*> supplies;
+  };
 
   [[nodiscard]] static Pst build_pst(const Candidate& candidate);
-  void bind(const Candidate& candidate, Slot& slot) const;
-  void finish(Slot& slot) const;
+  [[nodiscard]] BatchVerdict analyze_one(const Candidate& candidate);
+  [[nodiscard]] const PartitionSupply& cached_supply(Pst& pst,
+                                                     std::size_t req);
 
   BatchOptions options_;
-  util::WorkerPool pool_;
   Stats stats_;
-  // Both maps are written only in analyze()'s serial phases (see the
-  // header comment), so the parallel phases read them without a lock.
-  // Raw (mtf, requirements, windows) key -> index into psts_. Unused, and
-  // psts_ emptied after each call, when options_.memoise is off.
-  std::unordered_map<std::string, std::size_t> psts_memo_;
-  std::vector<Pst> psts_;
-  // Canonical window-set key -> index into supplies_.
-  std::unordered_map<std::string, std::size_t> cache_;
-  std::vector<std::unique_ptr<const PartitionSupply>> supplies_;
+  // Both stay empty when options_.memoise is off. Nodes never move, so a
+  // Pst may point into cache_.
+  // Raw (mtf, requirements, windows) key -> its PST.
+  std::unordered_map<std::string, Pst> psts_;
+  // Canonical window-set key -> its supply.
+  std::unordered_map<std::string, PartitionSupply> cache_;
 };
 
 /// Deterministic candidate-stream generator (the "automated aids" feed).

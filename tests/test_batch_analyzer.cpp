@@ -1,16 +1,19 @@
-// The schedulability service (src/model/batch.hpp) end to end:
-// determinism contract (verdict stream and cache stats byte-identical for
-// any worker count), memoisation transparency (cached supplies change
-// nothing but speed), infeasibility classification with binding equations,
-// NDJSON candidate codec round-trip, telemetry publication, the
-// differential flight oracle over a generated 500-config stream, and the
-// mutation self-test (a deliberately unsound analysis must be caught).
+// The schedulability service (src/model/batch.hpp) end to end: pinned
+// stats of the golden stream (and split batches that add up to one),
+// memoisation transparency (cached supplies change nothing but speed),
+// infeasibility classification with binding equations, NDJSON candidate
+// codec round-trip, telemetry publication, air-schedule's rejection of
+// hostile flags, the differential flight oracle over a generated
+// 500-config stream, and the mutation self-test (a deliberately unsound
+// analysis must be caught).
 //
 // The golden verdict digest pins the stream itself, so a supply that is
 // wrong the same way memoised and unmemoised still fails here.
 // Regenerate it after an *intentional* verdict change with:
 //   AIR_UPDATE_GOLDEN=1 ./air_tests --gtest_filter='BatchAnalyzer.Golden*'
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -43,15 +46,18 @@ std::string verdict_stream(const std::vector<model::BatchVerdict>& verdicts) {
 constexpr const char* kGoldenVerdictsPath =
     AIR_SOURCE_DIR "/tests/golden/batch_verdicts.digest";
 
-std::uint64_t golden_stream_digest(model::Phasing phasing) {
+std::vector<model::Candidate> golden_candidates() {
   model::CandidateSpec spec;
   spec.count = 500;
   spec.seed = 42;
+  return model::generate_candidates(spec);
+}
+
+std::uint64_t golden_stream_digest(model::Phasing phasing) {
   model::BatchOptions options;
   options.analysis.phasing = phasing;
   model::BatchAnalyzer analyzer(options);
-  return fi::digest64(
-      verdict_stream(analyzer.analyze(model::generate_candidates(spec))));
+  return fi::digest64(verdict_stream(analyzer.analyze(golden_candidates())));
 }
 
 model::CandidateSpec small_spec() {
@@ -61,30 +67,52 @@ model::CandidateSpec small_spec() {
   return spec;
 }
 
-TEST(BatchAnalyzer, VerdictStreamIsByteIdenticalForAnyWorkerCount) {
-  const auto candidates = model::generate_candidates(small_spec());
-  std::string reference;
-  model::BatchAnalyzer::Stats reference_stats;
-  for (const std::size_t workers : {1u, 2u, 5u, 0u}) {
+/// Every Stats field, in declaration order.
+std::vector<std::uint64_t> stats_fields(const model::BatchAnalyzer& analyzer) {
+  const model::BatchAnalyzer::Stats& s = analyzer.stats();
+  return {s.analyzed,     s.schedulable,   s.unschedulable, s.infeasible,
+          s.psts_built,   s.cache.lookups, s.cache.hits,    s.cache.misses,
+          s.cache.entries, s.cache.bytes};
+}
+
+TEST(BatchAnalyzer, GoldenStreamStatsArePinnedAndSplitBatchesAddUp) {
+  // The memo and the cache are written in candidate order, so every stat
+  // follows from the stream alone.
+  const std::vector<model::Candidate> all = golden_candidates();
+  const std::vector<model::Candidate> head(all.begin(), all.begin() + 200);
+  const std::vector<model::Candidate> tail(all.begin() + 200, all.end());
+  for (const auto& [phasing, schedulable] :
+       {std::pair{model::Phasing::kMtfAligned, 348u},
+        std::pair{model::Phasing::kWorstCase, 328u}}) {
     model::BatchOptions options;
-    options.workers = workers;
-    model::BatchAnalyzer analyzer(options);
-    const auto verdicts = analyzer.analyze(candidates);
-    const std::string stream = verdict_stream(verdicts);
-    if (reference.empty()) {
-      reference = stream;
-      reference_stats = analyzer.stats();
-      continue;
-    }
-    EXPECT_EQ(stream, reference) << "workers = " << workers;
-    // The cache stats are part of the determinism contract too: interning
-    // is serial in candidate order, so hit/miss counts cannot depend on
-    // the lane interleaving.
-    EXPECT_EQ(analyzer.stats().cache.lookups, reference_stats.cache.lookups);
-    EXPECT_EQ(analyzer.stats().cache.hits, reference_stats.cache.hits);
-    EXPECT_EQ(analyzer.stats().cache.misses, reference_stats.cache.misses);
-    EXPECT_EQ(analyzer.stats().cache.entries, reference_stats.cache.entries);
+    options.analysis.phasing = phasing;
+    model::BatchAnalyzer whole(options);
+    const std::string stream = verdict_stream(whole.analyze(all));
+    EXPECT_EQ(stats_fields(whole),
+              (std::vector<std::uint64_t>{500, schedulable, 454 - schedulable,
+                                          46, 62, 1418, 1256, 162, 162,
+                                          463744}));
+    // Daemon mode: the memo and the cache persist across calls, so two
+    // calls on one analyzer equal one call on the concatenation, in
+    // verdicts and in every stats field.
+    model::BatchAnalyzer split(options);
+    std::string split_stream = verdict_stream(split.analyze(head));
+    split_stream += verdict_stream(split.analyze(tail));
+    EXPECT_EQ(split_stream, stream);
+    EXPECT_EQ(stats_fields(split), stats_fields(whole));
   }
+}
+
+TEST(BatchAnalyzer, CachePersistsAcrossBatches) {
+  const auto candidates = model::generate_candidates(small_spec());
+  model::BatchAnalyzer analyzer;
+  const auto first = analyzer.analyze(candidates);
+  const auto misses_after_first = analyzer.stats().cache.misses;
+  const auto second = analyzer.analyze(candidates);
+  // Daemon mode: the second pass over the same stream builds no new table.
+  EXPECT_EQ(analyzer.stats().cache.misses, misses_after_first);
+  EXPECT_EQ(verdict_stream(first), verdict_stream(second));
+  EXPECT_EQ(analyzer.stats().analyzed, 2 * candidates.size());
 }
 
 TEST(BatchAnalyzer, GoldenVerdictStreamIsUnchanged) {
@@ -140,18 +168,6 @@ TEST(BatchAnalyzer, MemoisationChangesNothingButSpeed) {
   EXPECT_GT(static_cast<double>(cache.hits),
             0.5 * static_cast<double>(cache.lookups));
   EXPECT_EQ(without_cache.stats().cache.lookups, 0u);
-}
-
-TEST(BatchAnalyzer, CachePersistsAcrossBatches) {
-  const auto candidates = model::generate_candidates(small_spec());
-  model::BatchAnalyzer analyzer;
-  const auto first = analyzer.analyze(candidates);
-  const auto misses_after_first = analyzer.stats().cache.misses;
-  const auto second = analyzer.analyze(candidates);
-  // Daemon mode: the second pass over the same stream builds no new table.
-  EXPECT_EQ(analyzer.stats().cache.misses, misses_after_first);
-  EXPECT_EQ(verdict_stream(first), verdict_stream(second));
-  EXPECT_EQ(analyzer.stats().analyzed, 2 * candidates.size());
 }
 
 model::PartitionModel one_process(int partition, Ticks period,
@@ -436,21 +452,19 @@ TEST(BatchAnalyzer, ProcessWcetAboveTheBoundIsInfeasible) {
   expect_process_bound_binding(v, "wcet", analyzer);
 }
 
-TEST(BatchAnalyzer, WorstCasePhasingIsByteIdenticalAcrossLanesAndMemoisation) {
-  // Four lanes inverting the sbf from gap starts against the one-lane,
+TEST(BatchAnalyzer, WorstCasePhasingIsByteIdenticalWithAndWithoutMemoisation) {
+  // The memoised service inverting the sbf from gap starts against the
   // unmemoised reference.
   const auto candidates = model::generate_candidates(small_spec());
-  model::BatchOptions pooled;
-  pooled.workers = 4;
-  pooled.analysis.phasing = model::Phasing::kWorstCase;
-  model::BatchOptions bare = pooled;
-  bare.workers = 1;
+  model::BatchOptions memoised;
+  memoised.analysis.phasing = model::Phasing::kWorstCase;
+  model::BatchOptions bare = memoised;
   bare.memoise = false;
-  model::BatchAnalyzer with_lanes(pooled);
+  model::BatchAnalyzer with_cache(memoised);
   model::BatchAnalyzer reference(bare);
-  const std::string stream = verdict_stream(with_lanes.analyze(candidates));
+  const std::string stream = verdict_stream(with_cache.analyze(candidates));
   EXPECT_EQ(stream, verdict_stream(reference.analyze(candidates)));
-  EXPECT_GT(with_lanes.stats().cache.hits, 0u);
+  EXPECT_GT(with_cache.stats().cache.hits, 0u);
   EXPECT_NE(stream.find("\"verdict\":\"schedulable\""), std::string::npos);
 }
 
@@ -613,6 +627,61 @@ TEST(CandidateCodec, HugeMtfLineIsInfeasibleNotAnAllocation) {
     EXPECT_NE(v.binding.find("analysable bound"), std::string::npos)
         << v.to_ndjson();
   }
+}
+
+/// An air-schedule argument list whose last flag has a hostile value.
+struct HostileFlags {
+  const char* name;
+  std::string args;
+};
+
+void PrintTo(const HostileFlags& flags, std::ostream* os) { *os << flags.args; }
+
+class AirScheduleFlags : public ::testing::TestWithParam<HostileFlags> {};
+
+TEST_P(AirScheduleFlags, HostileValueIsAUsageError) {
+  const std::string& args = GetParam().args;
+  const std::size_t at = args.rfind("--");
+  const std::string flag = args.substr(at, args.find(' ', at) - at);
+  FILE* pipe = ::popen(
+      (std::string{AIR_SCHEDULE_BIN} + " " + args + " 2>&1 >/dev/null").c_str(),
+      "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string err;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) err += buf;
+  const int status = ::pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status)) << err;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << err;
+  EXPECT_NE(err.find(flag + " needs"), std::string::npos) << err;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rejected, AirScheduleFlags,
+    ::testing::Values(
+        HostileFlags{"GenerateNegative", "--generate -1"},
+        HostileFlags{"GenerateNotANumber", "--generate abc"},
+        HostileFlags{"GenerateTrailingText", "--generate 10x"},
+        HostileFlags{"GeneratePlusSign", "--generate +10"},
+        HostileFlags{"GenerateEmpty", "--generate ''"},
+        HostileFlags{"GenerateAboveBound", "--generate 1048577"},
+        HostileFlags{"DistinctNegative", "--generate 10 --distinct -1"},
+        HostileFlags{"DistinctAboveBound", "--generate 1 --distinct 1048577"},
+        HostileFlags{"SeedOverflow", "--seed 18446744073709551616"},
+        HostileFlags{"AcceptedTrailingText", "--accepted 3x"},
+        HostileFlags{"RejectedFraction", "--rejected 2.5"},
+        HostileFlags{"OverloadAboveOne", "--generate 10 --overload 1.5"},
+        HostileFlags{"OverloadNan", "--overload nan"},
+        HostileFlags{"InfeasibleNegative", "--infeasible -0.1"},
+        HostileFlags{"InfeasibleInfinite", "--infeasible inf"}),
+    [](const auto& info) { return std::string{info.param.name}; });
+
+TEST(AirScheduleFlagsAccepted, BoundaryValuesRun) {
+  const std::string command =
+      std::string{AIR_SCHEDULE_BIN} +
+      " --generate 16 --distinct 3 --seed 18446744073709551615"
+      " --overload 1 --infeasible 0 --accepted 0 --rejected 0 > /dev/null";
+  EXPECT_EQ(std::system(command.c_str()), 0);
 }
 
 TEST(DifferentialValidation, OracleHoldsOver500GeneratedConfigs) {

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "system/world.hpp"
+#include "config/constellation.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/spans.hpp"
 #include "util/trace_export.hpp"
@@ -21,74 +21,10 @@
 namespace air {
 namespace {
 
-using pos::ScriptBuilder;
+using scenarios::build_constellation;
 
 constexpr std::size_t kPerSwitch = 8;
 constexpr int kSampleStride = 97;
-
-// The bench_constellation satellite: one partition, one beacon process
-// (write + read the sampling ring, sleep ~400 ticks), trimmed memory so a
-// 1000-module world stays in the hundreds of MB.
-system::ModuleConfig satellite(int id, int nmodules) {
-  system::ModuleConfig config;
-  config.id = ModuleId{id};
-  config.name = "sat" + std::to_string(id);
-  config.memory_bytes = 256u << 10;
-  config.telemetry.flight_recorder_capacity = 64;
-  config.telemetry.spans_capacity = 256;
-  constexpr Ticks kMtf = 500;
-
-  system::PartitionConfig partition;
-  partition.name = "flight";
-  partition.sampling_ports.push_back(
-      {"OUT", ipc::PortDirection::kSource, 64, kInfiniteTime});
-  partition.sampling_ports.push_back(
-      {"IN", ipc::PortDirection::kDestination, 64, kInfiniteTime});
-  system::ProcessConfig chatter;
-  chatter.attrs.name = "chatter";
-  chatter.attrs.priority = 20;
-  chatter.attrs.script = ScriptBuilder{}
-                             .sampling_write(0, "beacon")
-                             .sampling_read(1)
-                             .timed_wait(400)
-                             .build();
-  partition.processes.push_back(std::move(chatter));
-  config.partitions.push_back(std::move(partition));
-
-  ipc::ChannelConfig ring;
-  ring.id = ChannelId{0};
-  ring.kind = ipc::ChannelKind::kSampling;
-  ring.source = {PartitionId{0}, "OUT"};
-  ring.remote_destinations = {
-      {ModuleId{(id + 1) % nmodules}, PartitionId{0}, "IN"}};
-  config.channels.push_back(std::move(ring));
-
-  model::Schedule schedule;
-  schedule.id = ScheduleId{0};
-  schedule.mtf = kMtf;
-  schedule.requirements = {{PartitionId{0}, kMtf, kMtf}};
-  schedule.windows = {{PartitionId{0}, 0, kMtf}};
-  config.schedules = {schedule};
-  return config;
-}
-
-std::unique_ptr<system::World> build_constellation(int nmodules,
-                                                   std::size_t per_switch) {
-  auto world = std::make_unique<system::World>(
-      net::BusConfig{.slot_length = 1,
-                     .frames_per_slot = 4,
-                     .propagation_delay = 2,
-                     .stations_per_switch = per_switch,
-                     .switch_hop_delay = 2});
-  for (int m = 0; m < nmodules; ++m) {
-    world->add_module(satellite(m, nmodules));
-    world->bus().define_virtual_link({ModuleId{m},
-                                      ModuleId{(m + 1) % nmodules},
-                                      /*min_gap=*/100,
-                                      /*jitter_budget=*/kInfiniteTime});
-  }
-  return world;
-}
 
 // Everything the equivalence contract covers, for one module: trace,
 // metrics exports, span stream, APEX-visible process state, console.

@@ -3,28 +3,34 @@
 // Batch front-end to model::BatchAnalyzer: ingest thousands of candidate
 // configurations (NDJSON lines, or generated), analyse them against the
 // paper's conditions (eqs. (8), (14), (19)-(23)) with supply-table
-// memoisation and worker fan-out, and emit a deterministic verdict stream
-// (NDJSON, byte-identical for any --workers value). Optionally close the
+// memoisation, and emit a deterministic verdict stream (NDJSON,
+// byte-identical with and without --no-memoise). Optionally close the
 // loop: fly a sample of the verdicts in the simulator and check the
 // differential oracle (analysis-schedulable <=> zero deadline misses).
 //
 // Usage:
 //   air-schedule [--in <file.jsonl>|-] [--generate <count>] [--seed <n>]
 //                [--distinct <n>] [--overload <frac>] [--infeasible <frac>]
-//                [--workers <n>] [--no-memoise] [--out <file>]
-//                [--metrics <file>] [--stats]
+//                [--no-memoise] [--out <file>] [--metrics <file>] [--stats]
 //                [--differential] [--accepted <n>] [--rejected <n>]
 //                [--switched-bus] [--reproducers <file.jsonl>]
 //                [--selftest]
 //
+// Counts are whole unsigned decimals (--generate and --distinct at most
+// 2^20, the kMaxMtf scale) and fractions are in [0, 1]; any other value is
+// a usage error.
+//
 // Exit codes: 0 ok; 1 usage/IO failure; 2 candidate parse errors;
 // 3 differential divergence detected (reproducers written when asked);
 // with --selftest, 0 = mutation caught (pipeline works), 3 = not caught.
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -72,8 +78,8 @@ void usage() {
       stderr,
       "usage: air-schedule [--in <file.jsonl>|-] [--generate <count>]\n"
       "                    [--seed <n>] [--distinct <n>] [--overload <f>]\n"
-      "                    [--infeasible <f>] [--workers <n>]\n"
-      "                    [--no-memoise] [--out <file>] [--metrics <file>]\n"
+      "                    [--infeasible <f>] [--no-memoise]\n"
+      "                    [--out <file>] [--metrics <file>]\n"
       "                    [--stats] [--differential] [--accepted <n>]\n"
       "                    [--rejected <n>] [--switched-bus]\n"
       "                    [--reproducers <file.jsonl>] [--selftest]\n");
@@ -102,24 +108,39 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A decimal in [0, max] with no sign and no trailing text: whole for
+    // an integer T; NaN fails the bound, and so does infinity.
+    const auto parse = [&]<typename T>(const char* flag, T max,
+                                       const char* expected) {
+      const char* text = next(flag);
+      const char* end = text + std::strlen(text);
+      T value{};
+      const auto [ptr, ec] = std::from_chars(text, end, value);
+      if (ec != std::errc{} || ptr != end || *text == '-' || !(value <= max)) {
+        std::fprintf(stderr, "air-schedule: %s needs %s, got '%s'\n", flag,
+                     expected, text);
+        std::exit(1);
+      }
+      return value;
+    };
+    constexpr auto kMaxCount = static_cast<std::uint64_t>(air::model::kMaxMtf);
+    constexpr auto kAnyCount = std::numeric_limits<std::uint64_t>::max();
+    constexpr const char* kCount = "a whole number";
+    constexpr const char* kBoundedCount = "a whole number <= 2^20";
+    constexpr const char* kFraction = "a number in [0, 1]";
     if (std::strcmp(argv[i], "--in") == 0) {
       in_path = next("--in");
     } else if (std::strcmp(argv[i], "--generate") == 0) {
       generate = true;
-      spec.count = static_cast<std::size_t>(
-          std::strtoull(next("--generate"), nullptr, 10));
+      spec.count = parse("--generate", kMaxCount, kBoundedCount);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      spec.seed = std::strtoull(next("--seed"), nullptr, 10);
+      spec.seed = parse("--seed", kAnyCount, kCount);
     } else if (std::strcmp(argv[i], "--distinct") == 0) {
-      spec.distinct_psts = static_cast<std::size_t>(
-          std::strtoull(next("--distinct"), nullptr, 10));
+      spec.distinct_psts = parse("--distinct", kMaxCount, kBoundedCount);
     } else if (std::strcmp(argv[i], "--overload") == 0) {
-      spec.overload_fraction = std::strtod(next("--overload"), nullptr);
+      spec.overload_fraction = parse("--overload", 1.0, kFraction);
     } else if (std::strcmp(argv[i], "--infeasible") == 0) {
-      spec.infeasible_fraction = std::strtod(next("--infeasible"), nullptr);
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      batch_options.workers = static_cast<std::size_t>(
-          std::strtoull(next("--workers"), nullptr, 10));
+      spec.infeasible_fraction = parse("--infeasible", 1.0, kFraction);
     } else if (std::strcmp(argv[i], "--no-memoise") == 0) {
       batch_options.memoise = false;
     } else if (std::strcmp(argv[i], "--out") == 0) {
@@ -131,11 +152,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--differential") == 0) {
       differential = true;
     } else if (std::strcmp(argv[i], "--accepted") == 0) {
-      diff_options.max_accepted = static_cast<std::size_t>(
-          std::strtoull(next("--accepted"), nullptr, 10));
+      diff_options.max_accepted = parse("--accepted", kAnyCount, kCount);
     } else if (std::strcmp(argv[i], "--rejected") == 0) {
-      diff_options.max_rejected = static_cast<std::size_t>(
-          std::strtoull(next("--rejected"), nullptr, 10));
+      diff_options.max_rejected = parse("--rejected", kAnyCount, kCount);
     } else if (std::strcmp(argv[i], "--switched-bus") == 0) {
       diff_options.switched_bus = true;
     } else if (std::strcmp(argv[i], "--reproducers") == 0) {
