@@ -38,20 +38,7 @@ void Pal::announce_ticks(Ticks now, Ticks elapsed) {
     const DeadlineRecord* rec = registry_->earliest();
     ++deadline_checks_;
     if (rec == nullptr || rec->deadline >= now) {  // line 3-4
-      // Telemetry: the partition's deadline headroom -- the distribution the
-      // paper's Fig. 8 discussion reasons about. Sampled once per deadline
-      // episode (when a record first reaches the head of the registry), so
-      // the steady-state announce path pays two integer compares, not a
-      // histogram insertion per tick.
-      if (metrics_ != nullptr && rec != nullptr &&
-          rec->deadline != kInfiniteTime &&
-          (rec->pid != last_slack_pid_ ||
-           rec->deadline != last_slack_deadline_)) {
-        last_slack_pid_ = rec->pid;
-        last_slack_deadline_ = rec->deadline;
-        metrics_->observe(telemetry::Metric::kDeadlineSlack, partition_index_,
-                          rec->deadline - now);
-      }
+      sample_slack(rec, now);
       break;
     }
     const ProcessId pid = rec->pid;
@@ -94,24 +81,34 @@ Ticks Pal::next_attention_tick() const {
   return next;
 }
 
-bool Pal::slack_sample_pending() const {
-  if (metrics_ == nullptr) return false;
-  const DeadlineRecord* rec = registry_->earliest();
-  return rec != nullptr && rec->deadline != kInfiniteTime &&
-         (rec->pid != last_slack_pid_ || rec->deadline != last_slack_deadline_);
+void Pal::sample_slack(const DeadlineRecord* rec, Ticks now) {
+  // Telemetry: the partition's deadline headroom -- the distribution the
+  // paper's Fig. 8 discussion reasons about. Sampled once per deadline
+  // episode (when a record first reaches the head of the registry), so the
+  // steady-state announce path pays two integer compares, not a histogram
+  // insertion per tick.
+  if (metrics_ == nullptr || rec == nullptr ||
+      rec->deadline == kInfiniteTime ||
+      (rec->pid == last_slack_pid_ && rec->deadline == last_slack_deadline_)) {
+    return;
+  }
+  last_slack_pid_ = rec->pid;
+  last_slack_deadline_ = rec->deadline;
+  metrics_->observe(telemetry::Metric::kDeadlineSlack, partition_index_,
+                    rec->deadline - now);
 }
 
 void Pal::advance_quiet(Ticks now, Ticks elapsed) {
   AIR_ASSERT_MSG(next_attention_tick() > now,
                  "time-warp span crosses a PAL event");
-  AIR_ASSERT_MSG(!slack_sample_pending(),
-                 "time-warp span would skip a slack sample");
   // One announce to the end of the span is state-identical to `elapsed`
   // single-tick announces when no timed wait expires inside it.
   kernel_.tick_announce(now, elapsed);
   // Algorithm 3's steady-state path retrieves the earliest deadline exactly
-  // once per announce.
+  // once per announce; only the span's first announce can see a fresh
+  // episode, so a pending slack sample is taken at that tick.
   deadline_checks_ += static_cast<std::uint64_t>(elapsed);
+  sample_slack(registry_->earliest(), now - elapsed + 1);
 }
 
 void Pal::register_deadline(ProcessId pid, Ticks absolute_deadline) {

@@ -52,17 +52,13 @@ class Pal {
   /// kInfiniteTime when neither is armed.
   [[nodiscard]] Ticks next_attention_tick() const;
 
-  /// True when the next announce would sample the deadline-slack histogram
-  /// (a record heads the registry whose episode has not been observed yet).
-  /// Such a tick must be stepped, not warped, to keep metrics byte-identical.
-  [[nodiscard]] bool slack_sample_pending() const;
-
   /// Bulk equivalent of `elapsed` quiet announce_ticks calls ending at
   /// `now`, whether the partition idles or its heir computes through them.
-  /// Preconditions (checked): no timer wake and no deadline violation
-  /// occurs in the span, and no slack sample is pending. Replicates the
-  /// per-tick counter effects exactly: one POS announce to `now`, plus
-  /// `elapsed` steady-state deadline checks.
+  /// Precondition (checked): no timer wake and no deadline violation
+  /// occurs in the span. Replicates the per-tick effects exactly: one POS
+  /// announce to `now`, `elapsed` steady-state deadline checks, and the
+  /// slack sample the span's first announce would take for a deadline
+  /// episode not yet observed.
   void advance_quiet(Ticks now, Ticks elapsed);
 
   /// PAL private interface used by APEX services to register/update a
@@ -129,6 +125,9 @@ class Pal {
 
  private:
   void note_registry_depth();
+  /// Observe `rec`'s slack at `now` into the histogram, once per deadline
+  /// episode (no-op when metrics are off or the episode was sampled).
+  void sample_slack(const DeadlineRecord* rec, Ticks now);
   void close_job_span(ProcessId pid, Ticks at, telemetry::SpanStatus status);
 
   pos::Kernel kernel_;

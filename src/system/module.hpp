@@ -94,7 +94,7 @@ class Module {
 
   /// Number of upcoming ticks that are provably boring: the module is
   /// quiescent (no runnable work, no pending context switch, no router
-  /// backlog, no pending telemetry sample) and no layer has an event before
+  /// backlog) and no layer has an event before
   /// now() + headroom + 1. Returns 0 when any of that fails, when the
   /// module is stopped or not yet booted, or when the per-tick host
   /// profiler is enabled (it observes every stepped tick).
@@ -103,8 +103,8 @@ class Module {
   /// Fast-forward the module by `n` boring ticks in O(1): bulk-advance the
   /// HAL clock, every core's scheduler/dispatcher and the active
   /// partitions' PAL/POS, replicating exactly the per-tick counter effects
-  /// of `n` quiescent tick_once() calls. `n` must not exceed
-  /// warp_headroom() (layer asserts enforce it).
+  /// of `n` quiescent tick_once() calls, online window closes included.
+  /// `n` must not exceed warp_headroom() (layer asserts enforce it).
   void warp_advance(Ticks n);
 
   /// Module time. The scheduler's counter sits at -1 before the first tick
@@ -236,6 +236,11 @@ class Module {
   /// metrics snapshots stay byte-identical with the plane on or off),
   /// rebuilt in place into online_sample_.
   const telemetry::OnlineSample& sample_online();
+  /// Close the online window when the current tick is its boundary.
+  void close_due_online_window();
+  /// One unsplit warp span of `n` ticks (warp_advance without the online
+  /// boundaries).
+  void advance_span(Ticks n);
 
   ModuleConfig config_;
   // Declared before every consumer: label symbols must outlive the trace,

@@ -88,22 +88,12 @@ Ticks Module::warp_headroom() const {
         return 0;  // a zero-time service runs on the next tick
       }
     }
-    // A deadline record whose slack episode has not been sampled yet:
-    // the next announce writes a histogram entry, so it must be stepped.
-    if (p.slack_sample_pending()) return 0;
     next_event = std::min(next_event, p.next_attention_tick());
   }
 
   // A tick hook (fault injector) must observe its event ticks stepped.
   if (tick_hook_ != nullptr) {
     next_event = std::min(next_event, tick_hook_->next_event(t));
-  }
-
-  // The online plane closes a digest window at the end of its boundary
-  // tick; that tick must be stepped so every execution mode samples the
-  // same cumulative totals at the same instant.
-  if (online_ != nullptr) {
-    next_event = std::min(next_event, online_->next_close_tick());
   }
 
   // An enabled profiler observes every stepped tick; report zero headroom
@@ -117,7 +107,23 @@ Ticks Module::warp_headroom() const {
 
 void Module::warp_advance(Ticks n) {
   if (stopped_ || n <= 0) return;
+  warp_stats_.warped_ticks += static_cast<std::uint64_t>(n);
+  ++warp_stats_.warp_spans;
+  // An online window closes at the end of its boundary tick, whether that
+  // tick is stepped or warped through: split the span after each boundary
+  // inside it and close there, with the totals a stepped tick would see.
+  while (n > 0) {
+    Ticks chunk = n;
+    if (online_ != nullptr) {
+      chunk = std::min(chunk, online_->next_close_tick() - now());
+    }
+    advance_span(chunk);
+    n -= chunk;
+    close_due_online_window();
+  }
+}
 
+void Module::advance_span(Ticks n) {
   // HAL: one clock bump of n plus a timer-interrupt raise/take pair leaves
   // the interrupt controller exactly as n per-tick raise/take pairs would.
   machine_.advance(n);
@@ -163,9 +169,6 @@ void Module::warp_advance(Ticks n) {
     }
     pcb.busy_ticks += n;
   }
-
-  warp_stats_.warped_ticks += static_cast<std::uint64_t>(n);
-  ++warp_stats_.warp_spans;
 }
 
 }  // namespace air::system
