@@ -147,10 +147,6 @@ void OnlinePlane::raise(Ticks now, Watchdog kind, std::int32_t partition,
   event.cause = cause;
   event.detail = std::move(detail);
   const HealthEvent& kept = health_.keep(std::move(event));
-  if (trace_ != nullptr) {
-    trace_->record(now, util::EventKind::kHealth, partition,
-                   static_cast<std::int64_t>(kind), value, kept.detail);
-  }
   if (spans_ != nullptr) {
     spans_->instant(SpanKind::kHealth, now, cause, 0, partition,
                     static_cast<std::int64_t>(kind), value,

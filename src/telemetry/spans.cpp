@@ -306,11 +306,6 @@ void SpanRecorder::retire(Span span) {
     if (!found) last_window_.emplace_back(partition, span);
   }
   last_ended_[static_cast<std::size_t>(span.kind)] = span;
-  if (trace_ != nullptr) {
-    trace_->record(span.end, util::EventKind::kSpan,
-                   static_cast<std::int64_t>(span.kind), span.a,
-                   static_cast<std::int64_t>(span.id));
-  }
   ++closed_total_;
   if (ring_ != nullptr) {
     if (ring_->push_overwrite(span)) ++dropped_;

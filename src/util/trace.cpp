@@ -25,8 +25,6 @@ std::string_view to_string(EventKind kind) {
     case EventKind::kClockParavirtTrap: return "clock_paravirt_trap";
     case EventKind::kPartitionModeChange: return "partition_mode_change";
     case EventKind::kUser: return "user";
-    case EventKind::kSpan: return "span";
-    case EventKind::kHealth: return "health";
   }
   return "unknown";
 }
@@ -44,7 +42,6 @@ Severity severity(EventKind kind) {
     case EventKind::kScheduleSwitch:
     case EventKind::kScheduleChangeAction:
     case EventKind::kPartitionModeChange:
-    case EventKind::kHealth:  // an SLO breach is evidence by definition
       return Severity::kCritical;
     // Normal operation landmarks.
     case EventKind::kPartitionDispatch:
@@ -58,7 +55,6 @@ Severity severity(EventKind kind) {
     case EventKind::kProcessStateChange:
     case EventKind::kPortSend:
     case EventKind::kPortReceive:
-    case EventKind::kSpan:
       return Severity::kDebug;
   }
   return Severity::kInfo;

@@ -54,8 +54,6 @@ enum class EventKind : std::uint8_t {
   kClockParavirtTrap,   // a = partition (generic POS tried to disable clock)
   kPartitionModeChange, // a = partition, b = new mode
   kUser,                // free-form, used by example applications
-  kSpan,                // a = span kind, b = span payload a, c = span id
-  kHealth,              // a = partition (-1 wide), b = watchdog, c = value
 };
 
 [[nodiscard]] std::string_view to_string(EventKind kind);

@@ -124,26 +124,19 @@ TEST(FlightRecorder, SeverityClassification) {
   EXPECT_EQ(severity(EventKind::kPartitionDispatch), Severity::kInfo);
   EXPECT_EQ(severity(EventKind::kProcessStateChange), Severity::kDebug);
   EXPECT_EQ(severity(EventKind::kPortSend), Severity::kDebug);
-  EXPECT_EQ(severity(EventKind::kSpan), Severity::kDebug)
-      << "span mirror traffic must never enter the critical ring";
 }
 
-// --- span debug traffic vs the flight recorder ---
+// --- debug traffic vs the flight recorder ---
 
-TEST(FlightRecorder, SpanMirrorFloodDropsExactlyAndSparesCriticalRing) {
+TEST(FlightRecorder, DebugFloodDropsExactlyAndSparesCriticalRing) {
   Trace trace;
   trace.set_flight_recorder(8, 4);
-  // Two critical events first, then a flood of span retirements mirrored
-  // into the trace as debug events.
+  // Two critical events first, then a flood of debug process-state events.
   trace.record(1, EventKind::kDeadlineMiss, 0, 1, 10);
   trace.record(2, EventKind::kHmError, 0, 1, 0);
-
-  telemetry::SpanRecorder spans;
-  spans.set_trace(&trace);
   for (Ticks t = 3; t < 503; ++t) {
-    spans.instant(telemetry::SpanKind::kMsgSend, t, 0, 0, 0, 0, 8);
+    trace.record(t, EventKind::kProcessStateChange, 0, 0, t);
   }
-  EXPECT_EQ(spans.recorded_spans(), 500u);
 
   // Exact accounting: 2 critical + 500 debug recorded; the debug ring kept
   // the newest 8, the critical ring kept both critical events.
@@ -152,9 +145,9 @@ TEST(FlightRecorder, SpanMirrorFloodDropsExactlyAndSparesCriticalRing) {
   EXPECT_EQ(trace.dropped_critical_events(), 0u);
   ASSERT_EQ(trace.filtered(EventKind::kDeadlineMiss).size(), 1u);
   ASSERT_EQ(trace.filtered(EventKind::kHmError).size(), 1u);
-  const auto mirrored = trace.filtered(EventKind::kSpan);
-  ASSERT_EQ(mirrored.size(), 8u);
-  EXPECT_EQ(mirrored.back().time, 502);
+  const auto flood = trace.filtered(EventKind::kProcessStateChange);
+  ASSERT_EQ(flood.size(), 8u);
+  EXPECT_EQ(flood.back().time, 502);
 }
 
 TEST(SpanRecorder, BoundedCapacityEvictsOldestWithExactCount) {
@@ -278,6 +271,72 @@ TEST(FlightRecorder, ModuleRunsBoundedWithCompleteCriticalHistory) {
   EXPECT_EQ(module.trace().count(EventKind::kDeadlineMiss), 4u);
   // Retained events are bounded by the two ring capacities.
   EXPECT_LE(module.trace().events().size(), 64u + 512u);
+}
+
+// A long faulty Fig. 8 flight in the benchmark's telemetry configuration:
+// the critical ring holds only evidence -- misses, HM reports and the
+// reactions to them, schedule switches -- and its deadline misses are the
+// newest of the flight, with none in between lost.
+TEST(FlightRecorder, CriticalRingKeepsOnlyEvidenceOfALongFaultyFlight) {
+  auto config = scenarios::fig8_config();
+  config.telemetry.flight_recorder_capacity = 1024;
+  config.telemetry.flight_recorder_critical_capacity = 256;
+  config.telemetry.spans_capacity = 1024;
+  config.telemetry.online.enabled = true;
+  system::Module module(std::move(config));
+  CollectingSink sink;
+  module.add_trace_sink(&sink);
+  const PartitionId aocs = module.partition_id("AOCS");
+  module.start_process_by_name(aocs, scenarios::kFaultyProcessName);
+  constexpr int kMtfs = 2064;
+  for (int k = 0; k < kMtfs; ++k) {
+    if (k % 129 == 64) {
+      const ScheduleId next{
+          module.apex(aocs).get_module_schedule_status().current_schedule ==
+                  ScheduleId{0}
+              ? 1
+              : 0};
+      ASSERT_EQ(module.apex(aocs).set_module_schedule(next),
+                apex::ReturnCode::kNoError);
+    }
+    module.run(scenarios::kFig8Mtf);
+  }
+  module.remove_trace_sink(&sink);
+
+  std::vector<Ticks> all_misses;
+  for (const TraceEvent& event : sink.seen) {
+    if (event.kind == EventKind::kDeadlineMiss) all_misses.push_back(event.time);
+  }
+  std::vector<Ticks> kept_misses;
+  std::size_t critical = 0;
+  for (const TraceEvent& event : module.trace().events()) {
+    if (severity(event.kind) != Severity::kCritical) continue;
+    ++critical;
+    switch (event.kind) {
+      case EventKind::kDeadlineMiss:
+        kept_misses.push_back(event.time);
+        break;
+      case EventKind::kHmError:
+      case EventKind::kHmAction:
+      case EventKind::kScheduleSwitchReq:
+      case EventKind::kScheduleSwitch:
+      case EventKind::kScheduleChangeAction:
+      case EventKind::kPartitionModeChange:
+      case EventKind::kSpatialViolation:
+      case EventKind::kClockParavirtTrap:
+        break;
+      default:
+        ADD_FAILURE() << "critical ring holds a " << util::to_string(event.kind)
+                      << " event at t=" << event.time;
+    }
+  }
+  EXPECT_EQ(critical, 256u) << "the critical ring is full";
+  EXPECT_GE(kept_misses.size(), 100u);
+  ASSERT_LE(kept_misses.size(), all_misses.size());
+  const std::vector<Ticks> newest(
+      all_misses.end() - static_cast<std::ptrdiff_t>(kept_misses.size()),
+      all_misses.end());
+  EXPECT_EQ(kept_misses, newest) << "retained misses are not the newest run";
 }
 
 }  // namespace

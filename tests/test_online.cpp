@@ -14,6 +14,7 @@
 
 #include "config/fig8.hpp"
 #include "fi/campaign.hpp"
+#include "hm/health_monitor.hpp"
 #include "pos/workload.hpp"
 #include "system/module.hpp"
 #include "system/world.hpp"
@@ -341,26 +342,27 @@ TEST(OnlinePlane, FaultyFig8FlightLightsTheDeadlineWatchdog) {
                         "deadline watchdog fired on AOCS";
 }
 
-TEST(OnlinePlane, HealthEventsLandInTraceAndSpans) {
+TEST(OnlinePlane, HealthEventsLandInSpansAndSinkNotTrace) {
   system::ModuleConfig config = scenarios::fig8_config();
   config.telemetry.online.enabled = true;
   config.telemetry.online.window = 650;
   system::Module module(std::move(config));
+  std::string stream;
+  module.online()->set_sink(collect(stream));
   module.start_process_by_name(module.partition_id("AOCS"),
                                scenarios::kFaultyProcessName);
   module.run(2 * scenarios::kFig8Mtf);
-  ASSERT_NE(module.online(), nullptr);
   ASSERT_FALSE(module.online()->events().empty());
-  bool traced = false;
-  for (const util::TraceEvent& event : module.trace().events()) {
-    if (event.kind == util::EventKind::kHealth) traced = true;
-  }
-  EXPECT_TRUE(traced) << "kHealth missing from the module trace";
+  EXPECT_NE(stream.find("\"type\":\"health\""), std::string::npos)
+      << "breach missing from the health sink";
   bool spanned = false;
   for (const telemetry::Span& span : module.spans().closed()) {
     if (span.kind == telemetry::SpanKind::kHealth) spanned = true;
   }
   EXPECT_TRUE(spanned) << "kHealth instant span missing";
+  // The trace keeps the evidence itself (misses, HM reports), not a copy
+  // of each breach: its text names no health event.
+  EXPECT_EQ(module.trace().to_text().find("health"), std::string::npos);
 }
 
 TEST(OnlinePlane, DisabledByDefaultAndInvisibleToMetrics) {
@@ -455,14 +457,77 @@ TEST(OnlinePlane, LongFaultyFlightRetainsBoundedHistory) {
 }
 
 TEST(OnlinePlane, DeadlineMissesInternNoTextAfterWarmUp) {
-  system::Module module(long_flight_config(false));
-  module.start_process_by_name(module.partition_id("AOCS"),
-                               scenarios::kFaultyProcessName);
-  module.run(100 * scenarios::kFig8Mtf);
-  const std::size_t symbols = module.arena().stats().symbols;
-  module.run(static_cast<Ticks>(kLongFlightMtfs - 100) * scenarios::kFig8Mtf);
-  EXPECT_GT(module.spans().anomaly_count(), 0u);
-  EXPECT_EQ(module.arena().stats().symbols, symbols);
+  for (const bool online : {false, true}) {
+    system::Module module(long_flight_config(online));
+    module.start_process_by_name(module.partition_id("AOCS"),
+                                 scenarios::kFaultyProcessName);
+    module.run(100 * scenarios::kFig8Mtf);
+    const std::size_t symbols = module.arena().stats().symbols;
+    module.run(static_cast<Ticks>(kLongFlightMtfs - 100) * scenarios::kFig8Mtf);
+    EXPECT_GT(module.spans().anomaly_count(), 0u) << "online=" << online;
+    EXPECT_EQ(module.arena().stats().symbols, symbols) << "online=" << online;
+  }
+}
+
+// One count of deadline misses across the recording planes: the trace, the
+// metrics registry, the HM log, the span recorder's anomalies and the
+// online digests all see every miss of a faulty Fig. 8 flight, on every
+// driver -- window closes warped through included.
+TEST(OnlinePlane, DeadlineMissCountAgreesAcrossPlanesOnEveryDriver) {
+  constexpr Ticks kMtfs = 50;
+  enum class Flight { kPerTick, kWarped, kLockstep, kEpoch };
+  for (const Flight flight : {Flight::kPerTick, Flight::kWarped,
+                              Flight::kLockstep, Flight::kEpoch}) {
+    system::ModuleConfig config = scenarios::fig8_config();
+    config.telemetry.online.enabled = true;
+    system::World world;
+    system::Module& module = world.add_module(std::move(config));
+    module.set_time_warp(flight != Flight::kPerTick);
+    std::string stream;
+    module.online()->set_sink(collect(stream));
+    module.start_process_by_name(module.partition_id("AOCS"),
+                                 scenarios::kFaultyProcessName);
+    const Ticks length = kMtfs * scenarios::kFig8Mtf;
+    switch (flight) {
+      case Flight::kPerTick:
+      case Flight::kWarped: module.run(length); break;
+      case Flight::kLockstep: world.run_lockstep(length); break;
+      case Flight::kEpoch: world.run(length); break;
+    }
+    const auto name = static_cast<int>(flight);
+
+    const std::size_t traced =
+        module.trace().filtered(util::EventKind::kDeadlineMiss).size();
+    const telemetry::MetricsSnapshot snap = module.metrics_snapshot();
+    std::uint64_t metered = 0;
+    for (std::size_t p = 0; p < module.partition_count(); ++p) {
+      metered += snap.counter(telemetry::Metric::kDeadlineMisses,
+                              static_cast<std::int32_t>(p));
+    }
+    std::size_t reported = 0;
+    for (const hm::ErrorReport& report : module.health().log()) {
+      if (report.code == hm::ErrorCode::kDeadlineMissed) ++reported;
+    }
+    const std::size_t anomalies = module.spans().anomaly_count();
+    std::int64_t digested = 0;
+    std::size_t begin = 0;
+    for (std::size_t end = stream.find('\n'); end != std::string::npos;
+         begin = end + 1, end = stream.find('\n', begin)) {
+      const util::json::ParseResult line =
+          util::json::parse(stream.substr(begin, end - begin));
+      ASSERT_TRUE(line.ok()) << name;
+      if (line.value->find("type")->as_string() != "digest") continue;
+      for (const util::json::Value& p :
+           line.value->find("partitions")->as_array()) {
+        digested += p.find("deadline_misses")->as_int();
+      }
+    }
+    EXPECT_EQ(traced, 49u) << "driver " << name;
+    EXPECT_EQ(metered, traced) << "driver " << name;
+    EXPECT_EQ(reported, traced) << "driver " << name;
+    EXPECT_EQ(anomalies, traced) << "driver " << name;
+    EXPECT_EQ(static_cast<std::size_t>(digested), traced) << "driver " << name;
+  }
 }
 
 TEST(FiWatchdogOracle, SelfTestDetectsAndLinksForcedMisses) {
