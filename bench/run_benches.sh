@@ -2,9 +2,14 @@
 # Run every bench_* binary in --json mode, writing one BENCH_<name>.json per
 # binary -- the machine-readable perf trajectory the ROADMAP asks for.
 #
-# Usage: bench/run_benches.sh [--allow-debug] [build-dir] [out-dir] [extra bench args...]
+# Usage: bench/run_benches.sh [--allow-debug] [--only name[,name...]]
+#                             [build-dir] [out-dir] [extra bench args...]
 # Example: bench/run_benches.sh                      # Release tree, CWD output
 #          bench/run_benches.sh build-release perf --benchmark_min_time=0.1
+#          bench/run_benches.sh --only constellation  # BENCH_constellation.json
+#
+# --only builds and runs just the named binaries (bench_<name>), so one
+# BENCH_<name>.json can be re-recorded without touching the others.
 #
 # With no build-dir (or the default "build-release") the script *owns* the
 # tree: it configures it as CMAKE_BUILD_TYPE=Release with
@@ -20,10 +25,18 @@
 set -euo pipefail
 
 allow_debug=0
-if [[ "${1:-}" == "--allow-debug" ]]; then
-  allow_debug=1
-  shift
-fi
+only=""
+while [[ "${1:-}" == "--allow-debug" || "${1:-}" == "--only" ]]; do
+  if [[ "$1" == "--allow-debug" ]]; then
+    allow_debug=1
+    shift
+  else
+    [[ $# -ge 2 ]] || { echo "error: --only needs a bench name" >&2; exit 1; }
+    IFS=, read -r -a names <<< "$2"
+    only=",$2,"
+    shift 2
+  fi
+done
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 build_dir=${1:-build-release}
@@ -50,8 +63,12 @@ if [[ "$build_type" != "Release" ]]; then
   echo "WARNING: --allow-debug: numbers below are NOT comparable to Release baselines" >&2
 fi
 
+targets=()
+if [[ -n "$only" ]]; then
+  for name in "${names[@]}"; do targets+=(--target "bench_${name}"); done
+fi
 echo "== building bench binaries in $build_dir (${build_type:-unset})"
-cmake --build "$build_dir" -j"$(nproc)" >/dev/null
+cmake --build "$build_dir" -j"$(nproc)" "${targets[@]}" >/dev/null
 
 mkdir -p "$out_dir"
 found=0
@@ -59,6 +76,7 @@ for bin in "$build_dir"/bench/bench_*; do
   [[ -x "$bin" && -f "$bin" ]] || continue
   name=$(basename "$bin")
   name=${name#bench_}
+  [[ -z "$only" || "$only" == *",$name,"* ]] || continue
   out="$out_dir/BENCH_${name}.json"
   echo "== $name -> $out"
   # Explicit status check: a crashing or failing bench binary must fail the

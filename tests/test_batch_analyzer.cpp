@@ -673,7 +673,8 @@ INSTANTIATE_TEST_SUITE_P(
         HostileFlags{"OverloadAboveOne", "--generate 10 --overload 1.5"},
         HostileFlags{"OverloadNan", "--overload nan"},
         HostileFlags{"InfeasibleNegative", "--infeasible -0.1"},
-        HostileFlags{"InfeasibleInfinite", "--infeasible inf"}),
+        HostileFlags{"InfeasibleInfinite", "--infeasible inf"},
+        HostileFlags{"GenerateAndIn", "--generate 3 --in /nonexistent/x.jsonl"}),
     [](const auto& info) { return std::string{info.param.name}; });
 
 TEST(AirScheduleFlagsAccepted, BoundaryValuesRun) {

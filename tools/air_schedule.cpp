@@ -166,6 +166,13 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  if (generate && !in_path.empty()) {
+    std::fprintf(stderr,
+                 "air-schedule: --in needs to be the only input source; "
+                 "drop --generate\n");
+    usage();
+    return 1;
+  }
 
   if (selftest) {
     const auto report = air::system::schedulability_selftest();
